@@ -114,11 +114,16 @@ def _cmd_distance(args):
                                     tol=args.tol)
     res = metric.connes_distance(phi, psi, gap=args.gap)
     kant = metric.kantorovich(phi, psi, quad_tol=args.quad_tol)
+    # an unconverged lower bound cannot confirm the inequality
     _emit({"connes": {"value": res.value, "lower": res.lower,
-                      "upper": res.upper},
+                      "upper": res.upper, "converged": res.converged},
            "kantorovich": kant,
-           "inequality_ok": res.value >= kant - (args.gap + args.quad_tol)},
+           "inequality_ok": bool(res.converged and res.value
+                                 >= kant - (args.gap + args.quad_tol))},
           args.out)
+    if not res.converged:
+        return _fail("connes_distance did not converge within its Newton "
+                     "step cap", lower=res.lower, upper=res.upper)
     return 0
 
 

@@ -4,20 +4,23 @@ The spectral distance on the truncated circle.
 The distance between two states is the supremum of their difference over
 hermitian Toeplitz matrices A with ``|| i[D, A] || <= 1``, where D is the
 diagonal Dirac truncation.  The supremum is a linear objective over a
-spectral-norm ball, solved here by a cutting-plane method whose feasible
-iterates give certified lower bounds and whose polyhedral relaxation gives
-certified upper bounds.  A dual route through primitives of the density
-difference and the Kantorovich transport distance are provided for
-comparison.
+spectral-norm ball, the Toeplitz linear matrix inequality -I <= B(x) <= I,
+solved here as a semidefinite program by a log-barrier Newton method whose
+feasible iterates give certified lower bounds and whose dual matrices give
+certified upper bounds by weak duality.  A dual route through primitives of
+the density difference and the Kantorovich transport distance are provided
+for comparison.
 """
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import minimize_scalar
 
-from .core import FRElement, ToeplitzMatrix, fr_delta
+from .core import FRElement, ToeplitzMatrix
 
-#: hard cap on the number of cutting planes per solve
-MAX_CUTS = 10000
+#: hard cap on the number of Newton steps per solve
+MAX_NEWTON = 500
+#: growth of the barrier weight t after each centering
+_T_GROWTH = 20.0
 
 #: default certified duality gap
 DEFAULT_GAP = 1e-6
@@ -47,17 +50,22 @@ class ConvexProgramResult:
     optimizer : ToeplitzMatrix
         A feasible hermitian matrix attaining ``value``.
     iterations : int
-        Number of cutting planes generated.
+        Number of Newton steps taken.
     converged : bool
+    dual : ndarray
+        Dense hermitian W with tr(W G_i) = objective_i on every constraint
+        direction G_i; ``upper`` is its nuclear norm.
     """
 
-    def __init__(self, value, lower, upper, optimizer, iterations, converged):
+    def __init__(self, value, lower, upper, optimizer, iterations, converged,
+                 dual):
         self.value = value
         self.lower = lower
         self.upper = upper
         self.optimizer = optimizer
         self.iterations = iterations
         self.converged = converged
+        self.dual = dual
 
     def __repr__(self):
         return ("ConvexProgramResult(value=%.12g, lower=%.12g, upper=%.12g, "
@@ -93,107 +101,113 @@ def primitive(b):
     return FRElement(out)
 
 
-def _normalize_sign(v):
-    # deterministic eigenvector phase: first nonzero entry real positive
-    for z in v:
-        if abs(z) > 1e-12:
-            return v * (np.conj(z) / abs(z))
-    return v
-
-
-def _cutting_plane(objective, directions, box, gap, max_cuts=MAX_CUTS):
+def _barrier_sdp(c, G, gap):
     """
-    Maximize objective . x over { x : || sum_i x_i G_i || <= 1, |x_i| <= box_i }.
+    Maximize c . x over ||B(x)|| <= 1, B(x) = sum_i x_i G_i, the hermitian
+    G_i stacked in an (m, N, N) array, by a log-barrier Newton method on
+    -I < B(x) < I (Boyd & Vandenberghe, Convex Optimization, 11.3).
 
-    The spectral-norm ball is outer-approximated by eigenvector cuts
-    +- <v, H(x) v> <= 1; the master problem is a dense LP.  Feasible scaled
-    iterates x / max(1, ||H(x)||) provide the lower bound.
+    Each centered point certifies both bounds.  Lower: c . x at the feasible
+    x / max(1, ||B(x)||).  Upper: ||W||_* >= tr(W B(x)) = c . x for feasible
+    x when tr(W G_i) = c_i, which the dual point of the Newton step dx,
+    W = (P - Q + P B(dx) P + Q B(dx) Q) / t with P = (I - B)^-1 and
+    Q = (I + B)^-1, meets up to rounding that a Gram projection removes.
+    Returns (lower, upper, x, W, newton_steps, converged).
     """
-    m = len(objective)
-    objective = np.asarray(objective, dtype=float)
-    if np.abs(objective).max(initial=0.0) == 0.0:
-        return 0.0, 0.0, 0.0, np.zeros(m), 0, True
+    m, N = G.shape[:2]
+    if not np.any(c):
+        return 0.0, 0.0, np.zeros(m), np.zeros((N, N), dtype=complex), 0, True
+    # vec B(v) = v @ Gv, tr(X G_i) = GT[i] . vec(X), gram_ij = tr(G_i G_j)
+    Gv, GT = G.reshape(m, -1), G.transpose(0, 2, 1).reshape(m, -1)
+    gram = np.real(Gv @ GT.T)
+    eye, pm = np.eye(N), np.array([1.0, -1.0])[:, None, None]
 
-    bounds = [(-bi, bi) for bi in box]
-    A_ub = []
-    b_ub = []
-    best_lb = 0.0
-    best_x = np.zeros(m)
-    upper = np.inf
-    cuts = 0
+    def dual_bound(W):
+        W = (W + W.conj().T) / 2.0
+        y = np.linalg.solve(gram, c - np.real(GT @ W.ravel()))
+        W = W + (y @ Gv).reshape(N, N)
+        return float(np.abs(np.linalg.eigvalsh(W)).sum()), W
 
-    while cuts < max_cuts:
-        res = linprog(-objective,
-                      A_ub=np.array(A_ub) if A_ub else None,
-                      b_ub=np.array(b_ub) if b_ub else None,
-                      bounds=bounds, method="highs")
-        if res.status != 0:
-            break
-        x = res.x
-        upper = float(objective @ x)
-        H = sum(xi * G for xi, G in zip(x, directions))
-        w, V = np.linalg.eigh(H)
-        nrm = max(abs(w[0]), abs(w[-1]))
-        feas = x / max(1.0, nrm)
-        lb = float(objective @ feas)
-        if lb > best_lb:
-            best_lb, best_x = lb, feas
-        if upper - best_lb <= gap:
-            return best_lb, best_lb, upper, best_x, cuts, True
-        added = False
-        for idx in range(w.size):
-            if abs(w[idx]) >= 1.0 - 1e-12:
-                v = _normalize_sign(V[:, idx])
-                g = np.array([float(np.real(np.vdot(v, G @ v)))
-                              for G in directions])
-                A_ub.append(np.sign(w[idx]) * g)
-                b_ub.append(1.0)
-                cuts += 1
-                added = True
-        if not added:
-            # iterate already feasible: bounds coincide
-            return upper, upper, upper, x, cuts, True
-    return best_lb, best_lb, upper, best_x, cuts, False
+    def slack(x):
+        # I -+ B(x) and their total log det; Cholesky fails off the interior
+        S = eye - pm * (x @ Gv).reshape(N, N)
+        L = np.linalg.cholesky(S)
+        return S, 2.0 * np.log(np.real(np.diagonal(L, axis1=1, axis2=2))).sum()
 
-
-def _hermitian_coeffs_from_vars(x, n, with_t0):
-    t = np.zeros(2 * n - 1, dtype=complex)
-    pos = 0
-    if with_t0:
-        t[n - 1] = x[0]
-        pos = 1
-    for j in range(1, n):
-        z = x[pos] + 1j * x[pos + 1]
-        pos += 2
-        t[n - 1 + j] = z
-        t[n - 1 - j] = np.conj(z)
-    return t
-
-
-def _toeplitz_directions(n, with_t0, derived):
-    """Dense constraint matrices for each real coordinate of the iterate."""
-    dirs = []
-    count = (1 if with_t0 else 0) + 2 * (n - 1)
-    for i in range(count):
-        e = np.zeros(count)
-        e[i] = 1.0
-        T = ToeplitzMatrix(_hermitian_coeffs_from_vars(e, n, with_t0))
-        if derived:
-            T = dirac_commutator(T)
-        dirs.append(T.dense())
-    return dirs
+    x = np.zeros(m)
+    lower, best_x = 0.0, x
+    upper, best_W = dual_bound(np.zeros((N, N), dtype=complex))
+    t = 2.0 * N / upper  # the central path's duality gap is 2N / t
+    S, logdet = slack(x)
+    steps, last_gap, stalled = 0, np.inf, False
+    while upper - lower > gap:
+        PQ = np.linalg.inv(S)
+        PG = PQ[:, None] @ G
+        tr = np.real(np.trace(PG, axis1=2, axis2=3))
+        # H_ij = Re tr(P G_i P G_j) + Re tr(Q G_i Q G_j), one GEMM
+        hess = np.real(PG.transpose(1, 0, 2, 3).reshape(m, -1)
+                       @ PG.transpose(1, 0, 3, 2).reshape(m, -1).T)
+        grad = tr[0] - tr[1] - t * c
+        dx = -np.linalg.solve(hess, grad)
+        f = -t * float(c @ x) - logdet
+        # half the squared Newton decrement bounds the centering error;
+        # below the rounding of f (~1e-14 |f|) backtracking sees only noise
+        if (stalled or steps == MAX_NEWTON
+                or -float(grad @ dx) / 2.0 <= max(1e-8, 1e-14 * abs(f))):
+            feas = x / max(1.0, 1.0 - float(np.linalg.eigvalsh(S).min()))
+            lb = float(c @ feas)
+            if lb > lower:
+                lower, best_x = lb, feas
+            dB = (dx @ Gv).reshape(N, N)
+            P, Q = PQ
+            ub, W = dual_bound((P - Q + P @ dB @ P + Q @ dB @ Q) / t)
+            if ub < upper:
+                upper, best_W = ub, W
+            # stop when converged, stuck or out of steps, or when the gap
+            # at the centered point grew: I -+ B are then too ill-conditioned
+            if (upper - lower <= gap or stalled or steps == MAX_NEWTON
+                    or ub - lb > last_gap):
+                break
+            last_gap = ub - lb
+            t *= _T_GROWTH
+            grad = tr[0] - tr[1] - t * c
+            dx = -np.linalg.solve(hess, grad)
+            f = -t * float(c @ x) - logdet
+        step, stalled, slope = 1.0, True, 0.25 * float(grad @ dx)
+        for _ in range(60):
+            try:
+                Sn, ldn = slack(x + step * dx)
+            except np.linalg.LinAlgError:
+                step /= 2.0
+                continue
+            if -t * float(c @ (x + step * dx)) - ldn <= f + step * slope:
+                x, S, logdet, stalled = x + step * dx, Sn, ldn, False
+                break
+            step /= 2.0
+        steps += 1
+    return lower, upper, best_x, best_W, steps, bool(upper - lower <= gap)
 
 
-def _linear_objective(c, n, with_t0):
-    """Real coordinates of x -> sum_k c_k t_{-k} on hermitian Toeplitz t."""
-    obj = []
-    if with_t0:
-        obj.append(float(np.real(c.coeff(0))))
-    for j in range(1, n):
-        # c_{-j} t_j + c_j conj(t_j) = 2 Re(c_{-j} t_j) for palindromic c
-        obj.append(2.0 * float(np.real(c.coeff(-j))))
-        obj.append(-2.0 * float(np.imag(c.coeff(-j))))
-    return np.array(obj)
+def _toeplitz_program(b, with_t0, derived, gap):
+    """
+    sup Re sum_k b_k t_{-k} over hermitian Toeplitz T with ||T|| <= 1, or
+    with ||i[D, T]|| <= 1 when ``derived``; t_0 = 0 unless ``with_t0``.
+
+    The real coordinates are t_0 (when free), then Re t_j and Im t_j for
+    j = 1..n-1; column i of E is the coefficient sequence of coordinate i.
+    """
+    n = b.n
+    j = np.arange(1, n)
+    E = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
+    E[n - 1, 0] = 1.0
+    E[n - 1 + j, 2 * j - 1] = E[n - 1 - j, 2 * j - 1] = 1.0
+    E[n - 1 + j, 2 * j], E[n - 1 - j, 2 * j] = 1j, -1j
+    E = E if with_t0 else E[:, 1:]
+    scale = 1j * np.arange(-n + 1, n) if derived else 1.0
+    # dense M[r, s] = t[r - s] of each coordinate's (derived) matrix
+    G = (E.T * scale)[:, np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
+    lo, up, x, W, its, conv = _barrier_sdp(np.real(b.a[::-1] @ E), G, gap)
+    return ConvexProgramResult(lo, lo, up, ToeplitzMatrix(E @ x), its, conv, W)
 
 
 def connes_distance(phi, psi, gap=DEFAULT_GAP):
@@ -206,15 +220,8 @@ def connes_distance(phi, psi, gap=DEFAULT_GAP):
     """
     if phi.n != psi.n:
         raise ValueError("size mismatch")
-    n = phi.n
-    c = phi.density - psi.density
-    obj = _linear_objective(c, n, with_t0=False)
-    dirs = _toeplitz_directions(n, with_t0=False, derived=True)
-    # ||i[D,A]|| <= 1 forces |j t_j| <= 1, hence each coordinate is in [-1, 1]
-    box = np.array([1.0 / (1 + i // 2) for i in range(2 * (n - 1))])
-    lb, lo, up, x, its, conv = _cutting_plane(obj, dirs, box, gap)
-    A = ToeplitzMatrix(_hermitian_coeffs_from_vars(x, n, with_t0=False))
-    return ConvexProgramResult(lb, lo, up, A, its, conv)
+    return _toeplitz_program(phi.density - psi.density, with_t0=False,
+                             derived=True, gap=gap)
 
 
 def dual_norm(b, gap=DEFAULT_GAP):
@@ -226,14 +233,7 @@ def dual_norm(b, gap=DEFAULT_GAP):
     """
     if not b.palindromic:
         raise ValueError("dual_norm requires a palindromic sequence")
-    n = b.n
-    obj = _linear_objective(b, n, with_t0=True)
-    dirs = _toeplitz_directions(n, with_t0=True, derived=False)
-    # ||T|| <= 1 bounds every diagonal value, hence every coordinate
-    box = np.ones(2 * n - 1)
-    lb, lo, up, x, its, conv = _cutting_plane(obj, dirs, box, gap)
-    T = ToeplitzMatrix(_hermitian_coeffs_from_vars(x, n, with_t0=True))
-    return ConvexProgramResult(lb, lo, up, T, its, conv)
+    return _toeplitz_program(b, with_t0=True, derived=False, gap=gap)
 
 
 def connes_via_dual(phi, psi, gap=DEFAULT_GAP):
@@ -241,22 +241,20 @@ def connes_via_dual(phi, psi, gap=DEFAULT_GAP):
     The distance through the dual picture:
     inf over real c of dual_norm(primitive(psi - phi) - c delta_0).
 
-    The inner minimization is one-dimensional and convex; it is localized by
-    golden-section to tolerance gap / 10.
+    By Sion's minimax theorem this is the sup of the pairing with
+    B = primitive(psi - phi) over ||T|| <= 1 with t_0 = 0, solved as one
+    program.  Its dual matrix W pairs with the identity as the missing t_0
+    coefficient, tr W = -c, which gives an optimal shift.  Returns
+    ``(value, c)``; raises RuntimeError when the bounds do not close.
     """
     if phi.n != psi.n:
         raise ValueError("size mismatch")
     B = primitive(psi.density - phi.density)
-
-    def F(cc):
-        return dual_norm(B - fr_delta(0, B.n, cc), gap=gap / 2).value
-
-    base = F(0.0)
-    # dual_norm(delta_0) = 1, so the optimal shift satisfies |c| <= 2 base
-    M = 2.0 * base + 1.0
-    res = minimize_scalar(F, bounds=(-M, M), method="bounded",
-                          options={"xatol": gap / 10})
-    return min(base, float(res.fun)), float(res.x)
+    res = _toeplitz_program(B, with_t0=False, derived=False, gap=gap)
+    if not res.converged:
+        raise RuntimeError("connes_via_dual did not converge: lower %.12g, "
+                           "upper %.12g" % (res.lower, res.upper))
+    return res.value, -float(np.real(np.trace(res.dual)))
 
 
 def _circle_roots_of_trig(d):

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from toepsys import metric
 from toepsys.cli import main
 
 
@@ -63,7 +64,23 @@ def test_distance(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["inequality_ok"] is True
+    assert data["connes"]["converged"] is True
     assert data["connes"]["upper"] - data["connes"]["lower"] <= 1e-6
+
+
+def test_distance_not_converged(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(metric, "MAX_NEWTON", 1)
+    p = write_json(tmp_path / "phi.json",
+                   {"n": 2, "a": [[0, 0], [1, 0], [0, 0]]})
+    q = write_json(tmp_path / "psi.json",
+                   {"n": 2, "a": [[0.5, 0], [1, 0], [0.5, 0]]})
+    code, out, err = run_cli(["distance", p, q], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["connes"]["converged"] is False
+    assert data["inequality_ok"] is False
+    assert data["connes"]["upper"] - data["connes"]["lower"] > 1e-6
+    assert "error" in json.loads(err)
 
 
 def test_circulant_actions(tmp_path, capsys):

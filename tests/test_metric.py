@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 import toepsys as ts
+from toepsys import metric
 from toepsys.metric import connes_via_dual
 
 from conftest import random_palindromic, random_state
@@ -105,8 +108,59 @@ def test_dual_route_matches_primal(rng):
     for n in (2, 3, 4):
         phi, psi = random_state(n, rng), random_state(n, rng)
         primal = ts.connes_distance(phi, psi, gap).value
-        dual, _ = connes_via_dual(phi, psi, gap)
+        dual, c = connes_via_dual(phi, psi, gap)
         assert abs(primal - dual) <= 2 * gap
+        # the returned shift attains the infimum over c
+        B = ts.primitive(psi.density - phi.density)
+        shifted = ts.dual_norm(B - ts.fr_delta(0, n, c), gap).value
+        assert abs(shifted - dual) <= 2 * gap
+
+
+def test_dual_route_reports_non_convergence(rng, monkeypatch):
+    monkeypatch.setattr(metric, "MAX_NEWTON", 1)
+    phi, psi = random_state(3, rng), random_state(3, rng)
+    with pytest.raises(RuntimeError, match="lower .* upper"):
+        connes_via_dual(phi, psi)
+
+
+@pytest.mark.parametrize("n, gap", [(3, 1e-8), (6, 1e-8), (16, 1e-6),
+                                    (24, 1e-6)])
+def test_converges_to_gap(rng, n, gap):
+    phi, psi = random_state(n, rng), random_state(n, rng)
+    start = time.perf_counter()
+    r = ts.connes_distance(phi, psi, gap=gap)
+    assert time.perf_counter() - start < 10.0
+    assert r.converged
+    assert r.lower <= r.upper <= r.lower + gap
+    assert ts.operator_norm(ts.dirac_commutator(r.optimizer)) <= 1 + 1e-9
+
+
+def _hermitian_basis(n, with_t0):
+    """Hermitian Toeplitz matrices of the coordinates t_0, Re t_j, Im t_j."""
+    out = [ts.compress_symbol({0: 1.0}, n)] if with_t0 else []
+    for j in range(1, n):
+        for z in (1.0, 1j):
+            out.append(ts.compress_symbol({j: z, -j: np.conj(z)}, n))
+    return out
+
+
+def test_dual_matrix_certifies_upper_bound(rng):
+    n = 5
+    phi, psi = random_state(n, rng), random_state(n, rng)
+    r = ts.connes_distance(phi, psi)
+    W = r.dual
+    assert np.allclose(W, W.conj().T)
+    assert r.upper == pytest.approx(np.abs(np.linalg.eigvalsh(W)).sum(),
+                                    abs=1e-12)
+    # tr(W G_i) is the objective on every constraint direction
+    for A in _hermitian_basis(n, with_t0=False):
+        G = ts.dirac_commutator(A).dense()
+        objective = ts.evaluate(phi, A) - ts.evaluate(psi, A)
+        assert abs(np.trace(W @ G) - objective) <= 1e-12
+    b = random_palindromic(n, rng)
+    r = ts.dual_norm(b)
+    for T in _hermitian_basis(n, with_t0=True):
+        assert abs(np.trace(r.dual @ T.dense()) - ts.pairing(T, b)) <= 1e-12
 
 
 def test_kantorovich_oracle():
