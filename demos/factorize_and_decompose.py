@@ -27,7 +27,7 @@ def main():
     print(np.round(factor.q, 4))
     print("factor roots (all inside the closed disc):")
     print(np.round(np.abs(np.roots(factor.q[::-1])), 6))
-    print("sup-norm residual of |q|^2 - a: %.2e"
+    print("certified bound on sup |a - |q|^2|: %.2e"
           % ts.factorization_residual(a, factor))
 
     # a rank-3 positive Toeplitz matrix of size 5: a sum of three rays

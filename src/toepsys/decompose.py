@@ -231,74 +231,21 @@ def vandermonde_decompose(T, tol=1e-9):
     return VandermondeDecomposition(angles[keep], weights[keep])
 
 
-def _hermitian_toeplitz_basis(n):
-    """Real basis of hermitian Toeplitz directions (2n-1 elements)."""
-    basis = []
-    e = np.zeros(2 * n - 1)
-    e[n - 1] = 1.0
-    basis.append(ToeplitzMatrix(e))
-    for j in range(1, n):
-        re = np.zeros(2 * n - 1, dtype=complex)
-        re[n - 1 + j] = 1.0
-        re[n - 1 - j] = 1.0
-        basis.append(ToeplitzMatrix(re))
-        im = np.zeros(2 * n - 1, dtype=complex)
-        im[n - 1 + j] = 1j
-        im[n - 1 - j] = -1j
-        basis.append(ToeplitzMatrix(im))
-    return basis
-
-
-def det_multiplicity(T, max_k=None, directions=8, seed=0):
+def det_multiplicity(T, max_k=None):
     """
     Order of vanishing of the determinant at T along Toeplitz directions:
     the smallest m for which some m-th directional derivative of det inside
     the hermitian Toeplitz slice is nonzero (m = 0 when det(T) != 0).
 
-    Along any direction B the map t -> det(T + tB) is a polynomial of
-    degree <= n, recovered exactly by interpolation at n+1 nodes; its order
-    of vanishing at t = 0 is read off the coefficients.  A nonzero k-th
-    derivative form cannot vanish on generic directions, so the minimum
-    over the identity, the Toeplitz basis, and ``directions`` seeded random
-    hermitian Toeplitz directions realizes m.  Returns max_k + 1 when every
-    tested derivative vanishes.
+    This is the nullity of T.  Along any hermitian direction B, Weyl's
+    inequality keeps the k zero eigenvalues of T within |t| ||B|| of zero,
+    so det(T + tB) vanishes to order >= k at t = 0; along B = I it is the
+    product of the eigenvalues plus t and vanishes to order exactly k.  The
+    nullity counts the eigenvalues with |lambda| <= 1e-10 max |lambda|.
+    Returns min(nullity, max_k + 1), max_k defaulting to n.
     """
-    n = T.n
     if max_k is None:
-        max_k = n
-    M = T.dense()
-    norm = float(np.linalg.norm(M, 2))
-    span = 1.0 + norm
-
-    basis = [B.dense() for B in _hermitian_toeplitz_basis(n)]
-    dirs = [np.eye(n, dtype=complex)] + list(basis)
-    rng = np.random.default_rng(seed)
-    for _ in range(directions):
-        coeffs = rng.normal(size=len(basis))
-        dirs.append(sum(c * B for c, B in zip(coeffs, basis)))
-
-    # interpolation nodes scaled to the matrix size; Chebyshev spacing keeps
-    # the coefficient solve well conditioned at degree <= n
-    t_nodes = span * np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2 * n + 2))
-    V = np.vander(t_nodes / span, n + 1, increasing=True)
-
-    # a direction whose restriction to the kernel is singular yields a
-    # degenerate (all-noise) polynomial, so the noise floor is set by the
-    # largest coefficient across every direction, not per direction
-    all_coeffs = []
-    for B in dirs:
-        nb = float(np.linalg.norm(B, 2))
-        if nb == 0.0:
-            continue
-        Bn = B / nb
-        vals = np.array([np.real(np.linalg.det(M + t * Bn)) for t in t_nodes])
-        all_coeffs.append(np.linalg.solve(V, vals))
-    scale = max(float(np.abs(c).max()) for c in all_coeffs)
-    if scale == 0.0:
-        return min(1, max_k + 1) if n >= 1 else 0
-    best = max_k + 1
-    for c in all_coeffs:
-        nz = np.nonzero(np.abs(c) > 1e-13 * scale)[0]
-        if nz.size:
-            best = min(best, int(nz[0]))
-    return min(best, max_k + 1)
+        max_k = T.n
+    w = np.abs(np.linalg.eigvalsh(T.dense()))
+    nullity = int(np.sum(w <= 1e-10 * w.max()))
+    return min(nullity, max_k + 1)

@@ -6,16 +6,21 @@ a(theta) = |q(e^{i theta})|^2 for a polynomial q supported in 0..n-1.  The
 factor is computed from the root pattern of the associated Laurent
 polynomial: roots pair up as (z, 1/conj(z)) and the inside-disc member of
 each pair goes to q, while on-circle roots occur with even multiplicity and
-contribute half of it.
+contribute half of it.  The roots only give a starting point: the
+coefficients are then refined by Levenberg-Marquardt on the coefficient
+residual, which restores the accuracy that root finding loses at circle
+roots.
 """
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import FRElement, fr_convolve, fr_is_positive
 
-#: clustering radius used when splitting the even multiplicity of circle roots
-ROOT_CLUSTER_TOL = 1e-6
+#: cap on the Levenberg-Marquardt steps tried by the coefficient polish
+_POLISH_STEPS = 100
+#: grid size and relative floor of the cepstral start
+_CEPSTRUM_GRID = 2 ** 14
+_CEPSTRUM_FLOOR = 1e-13
 
 
 class SpectralFactor:
@@ -59,55 +64,104 @@ def laurent_roots(a):
     return np.roots(c[::-1])
 
 
-def _cluster_roots(roots, radius):
-    """Greedy clustering of complex roots; returns list of (center, count)."""
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        z = remaining.pop(0)
-        members = [z]
-        rest = []
-        for w in remaining:
-            if abs(w - z) <= radius:
-                members.append(w)
-            else:
-                rest.append(w)
-        remaining = rest
-        clusters.append((np.mean(members), len(members)))
-    return clusters
+def _shift_indices(m):
+    """
+    Index arrays (ia, ib) of shape (2m-1, m) with ia[k, p] = p - k and
+    ib[k, l] = l + k for k = -(m-1)..m-1, out-of-range entries replaced by
+    m so that they pick the zero appended to q.
+    """
+    k = np.arange(-m + 1, m)[:, None]
+    p = np.arange(m)
+    ia, ib = p - k, p + k
+    return (np.where((ia >= 0) & (ia < m), ia, m),
+            np.where((ib >= 0) & (ib < m), ib, m))
+
+
+def _square_and_jacobian(q, ia, ib):
+    """
+    The coefficients b_k = sum_l conj(q_l) q_{l+k} of |q|^2, k = -(m-1)..m-1,
+    and the real Jacobian of (Re b, Im b) with respect to (Re q, Im q).
+
+    b is bilinear in (conj q, q): db = A dq + B conj(dq) with
+    A[k, p] = conj(q_{p-k}) and B[k, l] = q_{l+k}, so b = A q and
+    J = [[Re(A+B), Re(i(A-B))], [Im(A+B), Im(i(A-B))]].
+    """
+    qz = np.append(q, 0.0)
+    A, B = np.conj(qz[ia]), qz[ib]
+    S, D = A + B, 1j * (A - B)
+    return A @ q, np.block([[S.real, D.real], [S.imag, D.imag]])
 
 
 def _polish(q, a):
     """
-    Least-squares refinement of the factor coefficients.
+    Levenberg-Marquardt refinement of the factor coefficients.
 
     Root extraction loses accuracy at circle roots of high multiplicity
     (the companion eigenvalues scatter like eps**(1/mult)); minimizing the
-    coefficient residual of q* conv q - a restores it.  The refined q is
-    kept only when it improves the residual.
+    coefficient residual r = q* conv q - a restores it.  Each step solves
+    (J^T J + mu I) delta = -J^T r with the analytic Jacobian J of
+    _square_and_jacobian; mu falls tenfold after a step that lowers ||r||
+    and rises tenfold otherwise.  Damping matters: J is rank deficient
+    exactly when q has circle roots, where plain Gauss-Newton stalls.  The
+    iteration stops when an accepted step lowers ||r|| by less than
+    1e-15 max(1, ||a||_inf), when the step no longer moves q, or after
+    _POLISH_STEPS trials.  Only steps that lower ||r|| are taken, so the
+    returned q never has a larger residual than the input.  Returns q and
+    ||r||.
     """
     m = q.size
     target = a.resize(m).a
+    scale = max(1.0, float(np.abs(target).max()))
+    ia, ib = _shift_indices(m)
 
-    def conv_coeffs(qq):
-        f = FRElement(np.concatenate([np.zeros(m - 1), qq]))
-        full = fr_convolve(f.involution(), f).a
-        # central 2m-1 entries; the outer ones vanish identically
-        return full[m - 1:3 * m - 2]
+    def residual(q):
+        b, J = _square_and_jacobian(q, ia, ib)
+        return np.concatenate([(b - target).real, (b - target).imag]), J
 
-    def residual(x):
-        qq = x[:m] + 1j * x[m:]
-        d = conv_coeffs(qq) - target
-        return np.concatenate([d.real, d.imag])
+    r, J = residual(q)
+    norm = np.linalg.norm(r)
+    if norm <= 1e-13 * scale:
+        return q, norm
+    x = np.concatenate([q.real, q.imag])
+    H, g = J.T @ J, J.T @ r
+    mu = 1e-6 * float(H.diagonal().max())
+    for _ in range(_POLISH_STEPS):
+        dx = np.linalg.solve(H + mu * np.eye(2 * m), -g)
+        if np.linalg.norm(dx) <= 1e-16 * np.linalg.norm(x):
+            break
+        xn = x + dx
+        qn = xn[:m] + 1j * xn[m:]
+        rn, J = residual(qn)
+        nn = np.linalg.norm(rn)
+        if nn < norm:
+            done = norm - nn < 1e-15 * scale
+            x, q, r, norm, mu = xn, qn, rn, nn, mu / 10.0
+            if done:
+                break
+            H, g = J.T @ J, J.T @ r
+        else:
+            mu *= 10.0
+    return q, norm
 
-    x0 = np.concatenate([q.real, q.imag])
-    r0 = np.linalg.norm(residual(x0))
-    if r0 <= 1e-13 * max(1.0, float(np.abs(target).max())):
-        return q
-    sol = least_squares(residual, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if np.linalg.norm(sol.fun) < r0:
-        return sol.x[:m] + 1j * sol.x[m:]
-    return q
+
+def _cepstral_start(a, m):
+    """
+    Minimum-phase factor with m coefficients of a + floor, the floor
+    _CEPSTRUM_FLOOR max a, by the cepstrum (Kolmogorov's method): q has no
+    zeros in the disc, so log q = c_0 / 2 + sum_{k>0} c_k e^{ik theta} for
+    the Fourier coefficients c of log(a + floor), all on a grid of
+    _CEPSTRUM_GRID angles.  The floor keeps the logarithm finite at circle
+    zeros and pulls the circle roots of q into the disc by ~sqrt(floor);
+    unlike companion eigenvalues it does not scatter clustered roots.
+    """
+    L = _CEPSTRUM_GRID
+    w = np.zeros(L, dtype=complex)
+    w[np.arange(-m + 1, m) % L] = a.resize(m).a
+    vals = np.maximum(np.real(np.fft.ifft(w)) * L, 0.0)
+    c = np.fft.fft(np.log(vals + _CEPSTRUM_FLOOR * vals.max())) / L
+    c[0] /= 2.0
+    c[L // 2:] = 0.0
+    return (np.fft.fft(np.exp(np.fft.ifft(c) * L)) / L)[:m]
 
 
 def fejer_riesz_factorize(a, tol=1e-9):
@@ -119,8 +173,7 @@ def fejer_riesz_factorize(a, tol=1e-9):
     a : FRElement
         Palindromic sequence whose circle function is >= 0.
     tol : float
-        Relative tolerance used for the positivity precondition and the
-        circle classification of roots.
+        Relative tolerance of the positivity precondition.
 
     Returns
     -------
@@ -129,8 +182,7 @@ def fejer_riesz_factorize(a, tol=1e-9):
     Raises
     ------
     ValueError
-        If ``a`` is not (numerically) nonnegative, or if a circle root has
-        odd multiplicity beyond tolerance, which signals the same defect.
+        If ``a`` is not (numerically) nonnegative.
     """
     if not fr_is_positive(a, tol=max(tol, 1e-9)):
         raise ValueError("factorization requires a nonnegative sequence")
@@ -141,20 +193,13 @@ def fejer_riesz_factorize(a, tol=1e-9):
             raise ValueError("negative constant sequence")
         return SpectralFactor([np.sqrt(a0.real)])
 
-    # classify roots relative to the unit circle
-    circle_band = 1e-7
-    inside = roots[np.abs(roots) < 1 - circle_band]
-    on_circle = roots[np.abs(np.abs(roots) - 1) <= circle_band]
-
-    q_roots = list(inside)
-    for center, count in _cluster_roots(on_circle, ROOT_CLUSTER_TOL):
-        if count % 2 != 0:
-            raise ValueError(
-                "circle root %r has odd multiplicity %d; input is numerically "
-                "not nonnegative" % (center, count))
-        q_roots.extend([center / abs(center)] * (count // 2))
-
-    q = np.poly(q_roots)[::-1] if q_roots else np.array([1.0 + 0j])
+    # the roots pair up as (z, 1/conj(z)) and q takes the inner member of
+    # each pair: the smaller half by modulus.  Rounding splits a double
+    # circle root into such a pair, about sqrt(eps) off the circle on
+    # either side, so the same rule takes one member of it; the polish
+    # below restores the accuracy that the split costs.
+    q_roots = roots[np.argsort(np.abs(roots))[:roots.size // 2]]
+    q = np.poly(q_roots)[::-1]
     # scale so that q* conv q reproduces a (least squares over coefficients)
     b = fr_convolve(FRElement(np.concatenate([np.zeros(len(q) - 1), q])).involution(),
                     FRElement(np.concatenate([np.zeros(len(q) - 1), q])))
@@ -162,16 +207,23 @@ def fejer_riesz_factorize(a, tol=1e-9):
     s = float(np.real(np.vdot(b.a, aa) / np.vdot(b.a, b.a)))
     if s < 0:
         raise ValueError("negative scale in factorization; input not nonnegative")
-    q = _polish(q * np.sqrt(s), a)
+    q, res = _polish(q * np.sqrt(s), a)
+    if res > 1e-12 * float(np.abs(a.a).max()):
+        # clustered circle roots scatter the companion eigenvalues too far
+        # for the polish; start again from the cepstrum, keep the better
+        q2, res2 = _polish(_cepstral_start(a, q.size), a)
+        q = q2 if res2 < res else q
     # fix the global phase: q_0 real >= 0
     phase = q[0] / abs(q[0]) if abs(q[0]) > 0 else 1.0
     return SpectralFactor(q / phase)
 
 
 def factorization_residual(a, factor):
-    """Sup over the circle of |a - |q|^2|, estimated on a dense grid."""
+    """
+    Certified bound on sup over the circle of |a - |q|^2|: the coefficient
+    l1 norm ||a - q* conv q||_1, which dominates the sup norm of the circle
+    function since |e^{ik theta}| = 1.
+    """
     b = factor.squared_modulus()
     n = max(a.n, b.n)
-    diff = a.resize(n) - b.resize(n)
-    theta = np.linspace(0, 2 * np.pi, 8 * n + 1)
-    return float(np.abs(diff(theta)).max())
+    return float(np.abs((a.resize(n) - b.resize(n)).a).sum())

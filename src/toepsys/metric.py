@@ -13,7 +13,6 @@ for comparison.
 """
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import FRElement, ToeplitzMatrix
 
@@ -24,6 +23,9 @@ _T_GROWTH = 20.0
 
 #: default certified duality gap
 DEFAULT_GAP = 1e-6
+
+#: cap on the slope evaluations of the level search in kantorovich
+_LEVEL_STEPS = 200
 
 
 class DiracTruncation:
@@ -267,65 +269,94 @@ def _circle_roots_of_trig(d):
     return np.sort(np.angle(on) % (2 * np.pi))
 
 
+def _cdf_difference(c):
+    """
+    Coefficients d, ascending from index -(n-1), of alpha(x) =
+    sum_k d_k e^{ikx} = (1 / 2 pi) integral from 0 to x of the circle
+    function of c, for a density difference c with c_0 = 0.
+    """
+    n = (c.size + 1) // 2
+    k = np.arange(-n + 1, n)
+    nz = k != 0
+    d = np.zeros(c.size, dtype=complex)
+    d[nz] = c[nz] / (2 * np.pi * 1j * k[nz])
+    d[n - 1] = -np.real(np.sum(d[nz]))
+    return d
+
+
+def _level_integral(d, a):
+    """
+    f(a) = integral over [0, 2 pi] of |alpha - a| and its slope
+    F(a) = |{alpha < a}| - |{alpha > a}|, for alpha(x) = sum_k d_k e^{ikx}
+    with the coefficients d ascending from index -(n-1).
+
+    alpha - a keeps its sign between consecutive crossing points, so each
+    piece is integrated exactly with the antiderivative and contributes
+    its length to F with the opposite sign.
+    """
+    n = (d.size + 1) // 2
+    k = np.arange(-n + 1, n)
+    g = d.astype(complex)
+    g[n - 1] -= a
+    pts = np.unique(np.clip(np.concatenate(
+        [[0.0], _circle_roots_of_trig(g), [2 * np.pi]]), 0.0, 2 * np.pi))
+    nz = k != 0
+    # integral of alpha - a from 0 to each point, all points at once
+    prim = np.real(g[n - 1]) * pts + np.real(
+        ((np.exp(1j * np.outer(pts, k[nz])) - 1.0) / (1j * k[nz])) @ g[nz])
+    pieces = np.diff(prim)
+    return (float(np.abs(pieces).sum()),
+            float(-(np.sign(pieces) * np.diff(pts)).sum()))
+
+
 def kantorovich(phi, psi, quad_tol=1e-8):
     """
     Kantorovich (transport) distance between the circle probability measures
-    of two states: inf over a of the integral of |alpha(x) - a| over [0, 2 pi],
-    alpha the difference of the cumulative distributions.
+    of two states: inf over a of f(a), the integral of |alpha(x) - a| over
+    [0, 2 pi], alpha the difference of the cumulative distributions.
 
-    alpha is itself a trigonometric polynomial, so each integrand is
-    integrated exactly piecewise between its sign changes; the remaining
-    error comes only from the one-dimensional search for the optimal level a
-    and stays below quad_tol.
+    alpha is itself a trigonometric polynomial, so f and its slope F (see
+    _level_integral) are exact for each level a.  f is convex and F is
+    monotone, so the optimal level is a root of F, found by regula falsi
+    with the Illinois modification from the bracket d_0 -+ sum |d_k|
+    (k != 0), which contains the range of alpha; F(lo) <= 0 <= F(hi)
+    throughout.  By convexity f(lo) - min f <= |F(lo)| (hi - lo) and
+    likewise at hi, so the search stops once
+    (hi - lo) max(|F(lo)|, |F(hi)|) <= quad_tol and returns the smaller of
+    f(lo), f(hi), within quad_tol of the infimum.  Raises RuntimeError if
+    that bound is not met within _LEVEL_STEPS slope evaluations.
     """
     if phi.n != psi.n:
         raise ValueError("size mismatch")
     n = phi.n
     c = (phi.density - psi.density).a
-    k = np.arange(-n + 1, n)
     if np.abs(c).max() < 1e-15:
         return 0.0
-
-    nz = k != 0
-    d = np.zeros_like(c)
-    d[nz] = c[nz] / (2 * np.pi * 1j * k[nz])
-    # alpha(x) = d0_base + sum_{k != 0} d_k e^{ikx}
-    d0_base = float(np.real(-np.sum(d[nz])))
-
-    def alpha(x):
-        x = np.asarray(x, dtype=float)
-        return d0_base + np.real(
-            np.tensordot(np.exp(1j * np.multiply.outer(x, k[nz])), d[nz],
-                         axes=([-1], [0])))
-
-    def antiderivative(x, a):
-        # integral of alpha - a from 0 to x
-        val = (d0_base - a) * x
-        val += float(np.real(np.sum(d[nz] * (np.exp(1j * k[nz] * x) - 1.0)
-                                    / (1j * k[nz]))))
-        return val
-
-    def total(a):
-        g = d.copy()
-        g[n - 1] = d0_base - a
-        cross = _circle_roots_of_trig(g)
-        pts = np.concatenate([[0.0], cross, [2 * np.pi]])
-        pts = np.unique(np.clip(pts, 0.0, 2 * np.pi))
-        s = 0.0
-        for x0, x1 in zip(pts[:-1], pts[1:]):
-            if x1 - x0 < 1e-14:
-                continue
-            piece = antiderivative(x1, a) - antiderivative(x0, a)
-            s += abs(piece)
-        return s
-
-    # candidate levels: alpha at its stationary points (roots of the density
-    # difference), where the convex objective can kink
-    stat = _circle_roots_of_trig(c)
-    cand = alpha(stat) if stat.size else np.array([d0_base])
-    lo = float(cand.min()) - 1e-3
-    hi = float(cand.max()) + 1e-3
-    res = minimize_scalar(total, bounds=(lo, hi), method="bounded",
-                          options={"xatol": min(quad_tol, 1e-9)})
-    vals = [float(res.fun)] + [total(float(a)) for a in np.atleast_1d(cand)]
-    return min(vals)
+    d = _cdf_difference(c)
+    # |alpha - d_0| <= sum_{k != 0} |d_k| brackets the optimal level
+    d0 = float(np.real(d[n - 1]))
+    bound = float(np.abs(d).sum()) - abs(d0)
+    lo, hi = d0 - bound, d0 + bound
+    (f_lo, F_lo), (f_hi, F_hi) = _level_integral(d, lo), _level_integral(d, hi)
+    # Illinois: the secant uses weights that halve on a retained end
+    w_lo, w_hi, side = F_lo, F_hi, 0
+    for _ in range(_LEVEL_STEPS):
+        if (hi - lo) * max(-F_lo, F_hi) <= quad_tol:
+            return min(f_lo, f_hi)
+        a = hi - w_hi * (hi - lo) / (w_hi - w_lo)
+        if not lo < a < hi:
+            a = 0.5 * (lo + hi)
+        f_a, F_a = _level_integral(d, a)
+        if F_a == 0.0:
+            return f_a
+        if F_a < 0:
+            lo, f_lo, F_lo, w_lo = a, f_a, F_a, F_a
+            w_hi = w_hi / 2.0 if side < 0 else w_hi
+            side = -1
+        else:
+            hi, f_hi, F_hi, w_hi = a, f_a, F_a, F_a
+            w_lo = w_lo / 2.0 if side > 0 else w_lo
+            side = 1
+    raise RuntimeError(
+        "kantorovich level search stopped at bound %.3g > quad_tol %.3g"
+        % ((hi - lo) * max(-F_lo, F_hi), quad_tol))

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import toepsys
 from toepsys import metric
 from toepsys.cli import main
 
@@ -153,3 +155,26 @@ def test_stdin_and_determinism(tmp_path, capsys):
     # emitted JSON re-parses losslessly
     data = json.loads(outs[0])
     assert isinstance(data["q"][0][0], float)
+
+
+def test_import_path_is_scipy_free(tmp_path):
+    a = write_json(tmp_path / "a.json",
+                   {"n": 2, "a": [[0.5, 0], [1, 0], [0.5, 0]]})
+    phi = write_json(tmp_path / "phi.json",
+                     {"n": 2, "a": [[0, 0], [1, 0], [0, 0]]})
+    script = "\n".join([
+        "import sys",
+        "import toepsys",
+        "assert 'scipy' not in sys.modules, 'import toepsys'",
+        "from toepsys.cli import main",
+        "a, phi = sys.argv[1:]",
+        "for args in (['factorize', a], ['distance', phi, a]):",
+        "    assert main(args) == 0, args",
+        "    assert 'scipy' not in sys.modules, args[0]",
+    ])
+    src = os.path.dirname(os.path.dirname(toepsys.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, a, phi],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

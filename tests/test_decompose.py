@@ -81,6 +81,14 @@ def test_det_multiplicity_interior_and_boundary(rng):
         assert ts.det_multiplicity(T) == n - r
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_det_multiplicity_large_n(rng, n):
+    r = n // 2
+    angles = 2 * np.pi * (np.arange(r) + rng.uniform(0, 0.5, r)) / r
+    T = rays_toeplitz(n, angles, rng.uniform(0.2, 2.0, r))
+    assert ts.det_multiplicity(T) == n - r
+
+
 def test_det_multiplicity_scale_invariance(rng):
     T = rays_toeplitz(4, separated_angles(2, rng), [1.0, 0.7])
     assert ts.det_multiplicity(T) == ts.det_multiplicity(100.0 * T) == 2

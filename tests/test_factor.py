@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import toepsys as ts
-from toepsys.factor import laurent_roots
+from toepsys.factor import _shift_indices, _square_and_jacobian, laurent_roots
 
 from conftest import random_positive_fr
 
@@ -64,3 +67,68 @@ def test_squared_modulus_matches_on_circle(rng):
         lhs = np.real(a(theta))
         rhs = np.abs(f(np.exp(1j * theta))) ** 2
         assert np.allclose(lhs, rhs, atol=1e-9 * np.abs(a.a).sum())
+
+
+def test_jacobian_matches_central_differences(rng):
+    m = 7
+    q = rng.normal(size=m) + 1j * rng.normal(size=m)
+    ia, ib = _shift_indices(m)
+    b, J = _square_and_jacobian(q, ia, ib)
+    assert np.allclose(b, np.convolve(np.conj(q[::-1]), q), atol=1e-14)
+    h = 1e-6
+    x = np.concatenate([q.real, q.imag])
+    fd = np.empty_like(J)
+    for j in range(2 * m):
+        cols = []
+        for sign in (1.0, -1.0):
+            xs = x.copy()
+            xs[j] += sign * h
+            bs, _ = _square_and_jacobian(xs[:m] + 1j * xs[m:], ia, ib)
+            cols.append(np.concatenate([bs.real, bs.imag]))
+        fd[:, j] = (cols[0] - cols[1]) / (2 * h)
+    assert np.abs(J - fd).max() <= 1e-7 * np.abs(J).max()
+
+
+def boundary_density(n, rng):
+    """|q|^2 for q with simple and double roots at random circle angles and
+    the remaining roots in the disc: circle roots of multiplicity 2 and 4."""
+    simple = np.exp(1j * rng.uniform(0, 2 * np.pi, n // 8))
+    double = np.exp(1j * rng.uniform(0, 2 * np.pi, n // 16))
+    inner = n - 1 - simple.size - 2 * double.size
+    disc = rng.uniform(0.3, 0.9, inner) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, inner))
+    roots = np.concatenate([simple, double, double, disc])
+    q = np.poly(roots)[::-1]
+    q /= np.linalg.norm(q)
+    return ts.fr_from_coeffs(np.convolve(np.conj(q[::-1]), q))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_boundary_repeated_circle_roots_large_n(rng, n):
+    for _ in range(2):
+        a = boundary_density(n, rng)
+        start = time.perf_counter()
+        f = ts.fejer_riesz_factorize(a)
+        assert time.perf_counter() - start < 2.0
+        assert f.q.size == n
+        assert ts.factorization_residual(a, f) <= 1e-8 * np.abs(a.a).sum()
+
+
+def test_residual_is_coefficient_l1_bound(rng):
+    a = random_positive_fr(6, rng)
+    f = ts.SpectralFactor(ts.fejer_riesz_factorize(a).q * (1 + 1e-3))
+    bound = ts.factorization_residual(a, f)
+    assert bound == pytest.approx(np.abs((a - f.squared_modulus()).a).sum())
+    theta = np.linspace(0, 2 * np.pi, 4001)
+    assert np.abs(a(theta) - np.abs(f(np.exp(1j * theta))) ** 2).max() <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24),
+       touching=st.booleans())
+def test_factor_round_trip_property(seed, n, touching):
+    rng = np.random.default_rng(seed)
+    a = random_positive_fr(n, rng, margin=0.0 if touching else None)
+    f = ts.fejer_riesz_factorize(a)
+    diff = f.squared_modulus().resize(n) - a
+    assert np.abs(diff.a).sum() <= 1e-8 * np.abs(a.a).sum()

@@ -2,10 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import toepsys as ts
 from toepsys import metric
-from toepsys.metric import connes_via_dual
+from toepsys.metric import _cdf_difference, _level_integral, connes_via_dual
 
 from conftest import random_palindromic, random_state
 
@@ -191,3 +192,30 @@ def test_connes_dominates_kantorovich(rng):
         c = ts.connes_distance(phi, psi)
         k = ts.kantorovich(phi, psi)
         assert c.value >= k - (1e-6 + 1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_kantorovich_matches_grid_minimum(rng, n):
+    quad_tol = 1e-8
+    phi, psi = random_state(n, rng), random_state(n, rng)
+    d = _cdf_difference((phi.density - psi.density).a)
+    x = np.linspace(0, 2 * np.pi, 4001)
+    alpha = np.real(np.exp(1j * np.outer(x, np.arange(-n + 1, n))) @ d)
+    levels = np.linspace(alpha.min(), alpha.max(), 1001)
+    for _ in range(2):
+        vals = [_level_integral(d, a)[0] for a in levels]
+        best = int(np.argmin(vals))
+        h = levels[1] - levels[0]
+        levels = np.linspace(levels[best] - 2 * h, levels[best] + 2 * h, 1001)
+    k = ts.kantorovich(phi, psi, quad_tol=quad_tol)
+    assert abs(k - min(vals)) <= quad_tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12))
+def test_kantorovich_symmetry_property(seed, n):
+    rng = np.random.default_rng(seed)
+    phi, psi = random_state(n, rng), random_state(n, rng)
+    quad_tol = 1e-8
+    assert abs(ts.kantorovich(phi, psi, quad_tol)
+               - ts.kantorovich(psi, phi, quad_tol)) <= 2 * quad_tol
