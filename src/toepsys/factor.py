@@ -3,13 +3,13 @@ Spectral factorization of nonnegative trigonometric polynomials.
 
 A palindromic sequence a with a(theta) >= 0 on the circle factors as
 a(theta) = |q(e^{i theta})|^2 for a polynomial q supported in 0..n-1.  The
-factor is computed from the root pattern of the associated Laurent
-polynomial: roots pair up as (z, 1/conj(z)) and the inside-disc member of
-each pair goes to q, while on-circle roots occur with even multiplicity and
-contribute half of it.  The roots only give a starting point: the
-coefficients are then refined by Levenberg-Marquardt on the coefficient
-residual, which restores the accuracy that root finding loses at circle
-roots.
+factor starts from the cepstrum: the causal part of log a gives the
+minimum-phase factor, reflected so that its roots lie in the closed disc.
+The coefficients are then refined by Levenberg-Marquardt on the
+coefficient residual, which restores the accuracy that the grid and the
+floor under the logarithm cost at circle roots.  The Laurent roots of a
+pair up as (z, 1/conj(z)), and q has the inside-disc member of each pair
+and half of each (even) multiplicity on the circle.
 """
 
 import numpy as np
@@ -18,8 +18,9 @@ from .core import FRElement, fr_convolve, fr_is_positive
 
 #: cap on the Levenberg-Marquardt steps tried by the coefficient polish
 _POLISH_STEPS = 100
-#: grid size and relative floor of the cepstral start
-_CEPSTRUM_GRID = 2 ** 14
+#: grid points per coefficient (at least 2**12 in all) and relative floor
+#: of the cepstral start
+_CEPSTRUM_OVERSAMPLE = 2048
 _CEPSTRUM_FLOOR = 1e-13
 
 
@@ -96,15 +97,16 @@ def _polish(q, a):
     """
     Levenberg-Marquardt refinement of the factor coefficients.
 
-    Root extraction loses accuracy at circle roots of high multiplicity
-    (the companion eigenvalues scatter like eps**(1/mult)); minimizing the
-    coefficient residual r = q* conv q - a restores it.  Each step solves
-    (J^T J + mu I) delta = -J^T r with the analytic Jacobian J of
-    _square_and_jacobian; mu falls tenfold after a step that lowers ||r||
-    and rises tenfold otherwise.  Damping matters: J is rank deficient
-    exactly when q has circle roots, where plain Gauss-Newton stalls.  The
-    iteration stops when an accepted step lowers ||r|| by less than
-    1e-15 max(1, ||a||_inf), when the step no longer moves q, or after
+    The cepstral start is accurate to the floor under its logarithm and the
+    aliasing of its grid, both of which are worst at circle roots;
+    minimizing the coefficient residual r = q* conv q - a restores the
+    accuracy.  Each step solves (J^T J + mu I) delta = -J^T r with the
+    analytic Jacobian J of _square_and_jacobian; mu falls tenfold after a
+    step that lowers ||r||, down to 1e-15 max diag(J^T J) so that the system
+    stays regular, and rises tenfold otherwise.  Damping matters: J is rank
+    deficient exactly when q has circle roots, where plain Gauss-Newton
+    stalls.  The iteration stops when an accepted step lowers ||r|| by less
+    than 1e-15 max(1, ||a||_inf), when the step no longer moves q, or after
     _POLISH_STEPS trials.  Only steps that lower ||r|| are taken, so the
     returned q never has a larger residual than the input.  Returns q and
     ||r||.
@@ -124,7 +126,8 @@ def _polish(q, a):
         return q, norm
     x = np.concatenate([q.real, q.imag])
     H, g = J.T @ J, J.T @ r
-    mu = 1e-6 * float(H.diagonal().max())
+    mu_min = 1e-15 * float(H.diagonal().max())
+    mu = 1e9 * mu_min
     for _ in range(_POLISH_STEPS):
         dx = np.linalg.solve(H + mu * np.eye(2 * m), -g)
         if np.linalg.norm(dx) <= 1e-16 * np.linalg.norm(x):
@@ -135,7 +138,7 @@ def _polish(q, a):
         nn = np.linalg.norm(rn)
         if nn < norm:
             done = norm - nn < 1e-15 * scale
-            x, q, r, norm, mu = xn, qn, rn, nn, mu / 10.0
+            x, q, r, norm, mu = xn, qn, rn, nn, max(mu / 10.0, mu_min)
             if done:
                 break
             H, g = J.T @ J, J.T @ r
@@ -147,21 +150,26 @@ def _polish(q, a):
 def _cepstral_start(a, m):
     """
     Minimum-phase factor with m coefficients of a + floor, the floor
-    _CEPSTRUM_FLOOR max a, by the cepstrum (Kolmogorov's method): q has no
-    zeros in the disc, so log q = c_0 / 2 + sum_{k>0} c_k e^{ik theta} for
-    the Fourier coefficients c of log(a + floor), all on a grid of
-    _CEPSTRUM_GRID angles.  The floor keeps the logarithm finite at circle
-    zeros and pulls the circle roots of q into the disc by ~sqrt(floor);
-    unlike companion eigenvalues it does not scatter clustered roots.
+    _CEPSTRUM_FLOOR max a, by the cepstrum (Kolmogorov's method), on a grid
+    of about _CEPSTRUM_OVERSAMPLE m angles.  With c the Fourier coefficients
+    of log(a + floor), p = exp(c_0 / 2 + sum_{k>0} c_k z^k) has
+    |p|^2 = a + floor on the circle and no zeros in the closed disc; its
+    reversal z^{m-1} conj(p(1/conj z)) has the same modulus on the circle
+    and all its zeros in the disc.  The floor keeps the logarithm finite at circle
+    zeros and moves circle roots ~sqrt(floor) into the disc; unlike
+    companion eigenvalues it does not scatter clustered roots.  The grid
+    grows with m because aliasing of the cepstrum near circle zeros moves
+    roots of the start out of the disc, which the polish keeps.
     """
-    L = _CEPSTRUM_GRID
+    L = 1 << max(12, int(np.ceil(np.log2(_CEPSTRUM_OVERSAMPLE * m))))
     w = np.zeros(L, dtype=complex)
     w[np.arange(-m + 1, m) % L] = a.resize(m).a
     vals = np.maximum(np.real(np.fft.ifft(w)) * L, 0.0)
     c = np.fft.fft(np.log(vals + _CEPSTRUM_FLOOR * vals.max())) / L
     c[0] /= 2.0
     c[L // 2:] = 0.0
-    return (np.fft.fft(np.exp(np.fft.ifft(c) * L)) / L)[:m]
+    p = (np.fft.fft(np.exp(np.fft.ifft(c) * L)) / L)[:m]
+    return np.conj(p[::-1])
 
 
 def fejer_riesz_factorize(a, tol=1e-9):
@@ -186,33 +194,13 @@ def fejer_riesz_factorize(a, tol=1e-9):
     """
     if not fr_is_positive(a, tol=max(tol, 1e-9)):
         raise ValueError("factorization requires a nonnegative sequence")
-    roots = laurent_roots(a)
-    if roots.size == 0:
-        a0 = a.coeff(0)
-        if a0.real < 0:
-            raise ValueError("negative constant sequence")
-        return SpectralFactor([np.sqrt(a0.real)])
-
-    # the roots pair up as (z, 1/conj(z)) and q takes the inner member of
-    # each pair: the smaller half by modulus.  Rounding splits a double
-    # circle root into such a pair, about sqrt(eps) off the circle on
-    # either side, so the same rule takes one member of it; the polish
-    # below restores the accuracy that the split costs.
-    q_roots = roots[np.argsort(np.abs(roots))[:roots.size // 2]]
-    q = np.poly(q_roots)[::-1]
-    # scale so that q* conv q reproduces a (least squares over coefficients)
-    b = fr_convolve(FRElement(np.concatenate([np.zeros(len(q) - 1), q])).involution(),
-                    FRElement(np.concatenate([np.zeros(len(q) - 1), q])))
-    aa = a.resize(b.n).a
-    s = float(np.real(np.vdot(b.a, aa) / np.vdot(b.a, b.a)))
-    if s < 0:
-        raise ValueError("negative scale in factorization; input not nonnegative")
-    q, res = _polish(q * np.sqrt(s), a)
-    if res > 1e-12 * float(np.abs(a.a).max()):
-        # clustered circle roots scatter the companion eigenvalues too far
-        # for the polish; start again from the cepstrum, keep the better
-        q2, res2 = _polish(_cepstral_start(a, q.size), a)
-        q = q2 if res2 < res else q
+    c = np.trim_zeros(a.a)
+    if c.size == 0:
+        raise ValueError("factorization of the zero sequence")
+    m = (c.size + 1) // 2
+    if m == 1:
+        return SpectralFactor([np.sqrt(a.coeff(0).real)])
+    q, _ = _polish(_cepstral_start(a, m), a)
     # fix the global phase: q_0 real >= 0
     phase = q[0] / abs(q[0]) if abs(q[0]) > 0 else 1.0
     return SpectralFactor(q / phase)

@@ -322,9 +322,11 @@ def kantorovich(phi, psi, quad_tol=1e-8):
     (k != 0), which contains the range of alpha; F(lo) <= 0 <= F(hi)
     throughout.  By convexity f(lo) - min f <= |F(lo)| (hi - lo) and
     likewise at hi, so the search stops once
-    (hi - lo) max(|F(lo)|, |F(hi)|) <= quad_tol and returns the smaller of
-    f(lo), f(hi), within quad_tol of the infimum.  Raises RuntimeError if
-    that bound is not met within _LEVEL_STEPS slope evaluations.
+    (hi - lo) max(|F(lo)|, |F(hi)|) <= quad_tol, or once hi - lo is down to
+    a few units in the last place, where the bound is at rounding level
+    (so quad_tol = 0 asks for the best level the arithmetic resolves), and
+    returns the smaller of f(lo), f(hi).  Raises RuntimeError if neither
+    holds within _LEVEL_STEPS slope evaluations.
     """
     if phi.n != psi.n:
         raise ValueError("size mismatch")
@@ -341,9 +343,11 @@ def kantorovich(phi, psi, quad_tol=1e-8):
     # Illinois: the secant uses weights that halve on a retained end
     w_lo, w_hi, side = F_lo, F_hi, 0
     for _ in range(_LEVEL_STEPS):
-        if (hi - lo) * max(-F_lo, F_hi) <= quad_tol:
+        width = hi - lo
+        if (width * max(-F_lo, F_hi) <= quad_tol
+                or width <= 4 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))):
             return min(f_lo, f_hi)
-        a = hi - w_hi * (hi - lo) / (w_hi - w_lo)
+        a = hi - w_hi * width / (w_hi - w_lo)
         if not lo < a < hi:
             a = 0.5 * (lo + hi)
         f_a, F_a = _level_integral(d, a)

@@ -70,6 +70,16 @@ def test_distance(tmp_path, capsys):
     assert data["connes"]["upper"] - data["connes"]["lower"] <= 1e-6
 
 
+def test_distance_zero_quad_tol(tmp_path, capsys):
+    p = write_json(tmp_path / "phi.json",
+                   {"n": 2, "a": [[0, 0], [1, 0], [0, 0]]})
+    q = write_json(tmp_path / "psi.json",
+                   {"n": 2, "a": [[0.5, 0], [1, 0], [0.5, 0]]})
+    code, out, _ = run_cli(["--quad-tol", "0", "distance", p, q], capsys)
+    assert code == 0
+    assert json.loads(out)["kantorovich"] == pytest.approx(2 / np.pi, abs=1e-12)
+
+
 def test_distance_not_converged(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(metric, "MAX_NEWTON", 1)
     p = write_json(tmp_path / "phi.json",

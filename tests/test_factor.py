@@ -2,7 +2,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import toepsys as ts
 from toepsys.factor import _shift_indices, _square_and_jacobian, laurent_roots
@@ -112,6 +111,10 @@ def test_boundary_repeated_circle_roots_large_n(rng, n):
         assert time.perf_counter() - start < 2.0
         assert f.q.size == n
         assert ts.factorization_residual(a, f) <= 1e-8 * np.abs(a.a).sum()
+        # minimum phase: a double circle root of q is only determined to
+        # about residual**(1/4) ~ 1e-3, while reflecting a disc root of
+        # modulus <= 0.9 would put it at >= 1.11
+        assert np.abs(np.roots(f.q[::-1])).max() <= 1 + 1e-3
 
 
 def test_residual_is_coefficient_l1_bound(rng):
@@ -121,14 +124,3 @@ def test_residual_is_coefficient_l1_bound(rng):
     assert bound == pytest.approx(np.abs((a - f.squared_modulus()).a).sum())
     theta = np.linspace(0, 2 * np.pi, 4001)
     assert np.abs(a(theta) - np.abs(f(np.exp(1j * theta))) ** 2).max() <= bound
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24),
-       touching=st.booleans())
-def test_factor_round_trip_property(seed, n, touching):
-    rng = np.random.default_rng(seed)
-    a = random_positive_fr(n, rng, margin=0.0 if touching else None)
-    f = ts.fejer_riesz_factorize(a)
-    diff = f.squared_modulus().resize(n) - a
-    assert np.abs(diff.a).sum() <= 1e-8 * np.abs(a.a).sum()
