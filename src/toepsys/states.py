@@ -12,9 +12,13 @@ permutation, by n-1 node angles through elementary symmetric polynomials.
 
 import numpy as np
 
-from .core import (CIRCLE_TOL, FRElement, fr_convolve, fr_is_positive,
-                   pairing)
+from .core import FRElement, fr_convolve, fr_is_positive, pairing
 from .factor import laurent_roots
+
+#: cap on the Levenberg-Marquardt steps of the node fit in is_pure, and the
+#: number of steps over which a fit that gains less than a tenth gives up
+_NODE_FIT_TRIALS = 300
+_NODE_FIT_WINDOW = 25
 
 
 class State:
@@ -116,17 +120,121 @@ def pure_state_from_angles(angles):
     return PureStateVector(xi, angles)
 
 
+def _paired_nodes(roots):
+    """
+    Start angles for the node fit of ``is_pure``, one per pair of roots.
+
+    Every node of a pure density is a double root, which rounding splits
+    into two roots at about the same angle.  The roots are sorted by angle
+    and neighbours are paired; of the two ways to pair around the circle,
+    the one with the smaller total angular gap is taken, and each pair
+    gives its mid-angle.
+    """
+    ang = np.sort(np.angle(roots))
+    best = None
+    for shift in (0, 1):
+        s = np.roll(ang, -shift)
+        gap = (s[1::2] - s[0::2]) % (2 * np.pi)
+        if best is None or gap.sum() < best[0]:
+            best = (gap.sum(), s[0::2] + gap / 2)
+    return best[1]
+
+
+def _node_density(theta, log_s, phi):
+    """
+    Values on the angles ``phi`` of the pure density with nodes ``theta``,
+    s prod_j |e^{i phi} - e^{i theta_j}|^2, with its log factors and the
+    angle differences that the Jacobian reuses.
+    """
+    x = phi[:, None] - theta
+    lg = np.log(np.maximum(4.0 * np.sin(x / 2) ** 2, 1e-300))
+    total = lg.sum(axis=1)
+    return np.exp(log_s + total), lg, total, x
+
+
+def _fits_pure(a, theta, tol):
+    """
+    Fit a pure density to the palindromic coefficients ``a`` (k = -(n-1) ..
+    n-1) by Levenberg-Marquardt on its node angles and log scale, started
+    at ``theta``; True once ||coeff(a - fit)||_1 <= tol ||a||_1.
+
+    The fit is sampled on 2n equispaced angles, which determine a
+    trigonometric polynomial of degree n-1: the l2 norm of the residual on
+    them is sqrt(2n) times its coefficient l2 norm, and the FFT gives the
+    coefficients of the fit exactly.  The
+    damping follows Nielsen (scaled by diag(J^T J)): after a step with gain
+    ratio rho, mu shrinks by max(1/3, 1 - (2 rho - 1)^3); after a rejected
+    step it grows by nu, which doubles.  The fit gives up after
+    _NODE_FIT_TRIALS steps, when the certified residual falls by less than
+    a tenth over _NODE_FIT_WINDOW steps, or when mu passes 1e16 and no step
+    lowers the residual.
+    """
+    n = (a.size + 1) // 2
+    L = 2 * n
+    phi = 2 * np.pi * np.arange(L) / L
+    k = np.arange(-n + 1, n) % L
+    w = np.zeros(L, dtype=complex)
+    w[k] = a
+    target = np.real(np.fft.ifft(w)) * L
+    bound = tol * np.abs(a).sum()
+    # each factor is at most 4, so this scale cannot overflow
+    _, lg, total, x = _node_density(theta, -(n - 1) * np.log(4.0), phi)
+    top = total.max()
+    v = np.exp(total - top)
+    log_s = np.log(max(target @ v, 1e-300) / (v @ v)) - top
+    vals = np.exp(log_s + total)
+    r = vals - target
+    mu, nu, check, changed = 1e-3, 2.0, None, True
+    for trial in range(_NODE_FIT_TRIALS):
+        if changed:
+            res = np.abs(np.fft.fft(vals)[k] / L - a).sum()
+            if res <= bound:
+                return True
+            J = np.column_stack([-np.exp(log_s + total[:, None] - lg) * 2 * np.sin(x), vals])
+            H, g = J.T @ J, J.T @ r
+            D = np.maximum(H.diagonal(), 1e-15 * H.diagonal().max())
+        if trial % _NODE_FIT_WINDOW == 0:
+            if check is not None and res > 0.9 * check:
+                return False
+            check = res
+        d = np.linalg.solve(H + mu * np.diag(D), -g)
+        vn, lgn, totn, xn = _node_density(theta + d[:-1], log_s + d[-1], phi)
+        rn = vn - target
+        gain = r @ r - rn @ rn
+        pred = -(2 * g @ d + d @ H @ d)
+        changed = gain > 0 and pred > 0
+        if changed:
+            rho = gain / pred
+            theta, log_s = theta + d[:-1], log_s + d[-1]
+            vals, lg, total, x, r = vn, lgn, totn, xn, rn
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        elif mu > 1e16:
+            return False
+        else:
+            mu *= nu
+            nu *= 2.0
+    return False
+
+
 def is_pure(state, tol=1e-6):
     """
-    Extremality test: a state is pure iff its density's Laurent polynomial
-    carries the full complement of 2(n-1) roots and all of them lie on the
-    unit circle.  Densities whose polynomial degree drops (vanishing leading
+    Extremality test by backward error: True when a pure density lies
+    within relative distance ``tol`` of the state's density, measured as
+    ||coeff(a - p)||_1 <= tol ||a||_1 (a certified bound on the sup
+    distance on the circle).  A state is pure iff its density carries the
+    full complement of n-1 circle nodes, each a double root, so the
+    candidate p = s prod_j |z - e^{i theta_j}|^2 is pure by construction;
+    its nodes are fitted by ``_fits_pure`` from the paired Laurent roots.
+    Densities whose polynomial degree drops (vanishing leading
     coefficients) are classified not pure.
 
-    A root of multiplicity m is computed as a cluster of m simple roots
-    scattered around it at distance of order eps^(1/m), far beyond any fixed
-    circle tolerance.  The scatter is symmetric, so the mean log-modulus of
-    each cluster cancels it; that mean is what is tested against ``tol``.
+    The roots themselves cannot be tested against the circle: where the
+    density is below rounding level on an arc, as on dense node clusters
+    at n >= 16, the computed roots there scatter by up to ~0.4 in
+    log-modulus although a pure density matches to ~1e-15.  The fit can
+    also miss: it stops after a bounded number of steps, so a pure density
+    whose fit converges slowly is reported not pure.
     """
     try:
         roots = laurent_roots(state.density)
@@ -136,18 +244,4 @@ def is_pure(state, tol=1e-6):
         return False
     if roots.size == 0:
         return True
-    remaining = list(roots)
-    while remaining:
-        z = remaining.pop(0)
-        cluster = [z]
-        rest = []
-        for w in remaining:
-            if abs(w - z) <= 2e-2:
-                cluster.append(w)
-            else:
-                rest.append(w)
-        remaining = rest
-        mean_log = float(np.mean(np.log(np.abs(cluster))))
-        if abs(mean_log) > max(tol, CIRCLE_TOL):
-            return False
-    return True
+    return _fits_pure(state.density.a, _paired_nodes(roots), tol)

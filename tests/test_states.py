@@ -93,6 +93,22 @@ def test_is_pure_conventions(rng):
         s = ts.pure_state_from_angles(rng.uniform(0, 2 * np.pi, n - 1)).state()
         assert ts.is_pure(s)
         assert not ts.is_pure(random_state(n, rng))
+    # at n = 16 and 32, random nodes crowd into arcs where the density is
+    # below rounding level; its Laurent roots there scatter far off the circle
+    for n in [16] * 12 + [32] * 6:
+        s = ts.pure_state_from_angles(rng.uniform(0, 2 * np.pi, n - 1)).state()
+        assert ts.is_pure(s)
+        assert not ts.is_pure(random_state(n, rng))
+
+
+def test_is_pure_is_a_backward_error():
+    # nodes pulled to radius 1 - eps: the nearest pure density is O(eps^2) away
+    angles = np.array([0.3, 1.4, 2.0, 3.5, 5.1])
+    near = ts.vector_state(np.poly((1 - 1e-5) * np.exp(1j * angles))[::-1])
+    assert ts.is_pure(near)
+    off = ts.vector_state(np.poly((1 - 1e-2) * np.exp(1j * angles))[::-1])
+    assert not ts.is_pure(off)
+    assert ts.is_pure(off, tol=1e-2)
 
 
 def test_pure_states_nonnegative_on_rays(rng):
