@@ -7,6 +7,8 @@ F(f)(k) = sum_l f_l xi^{kl}, which coincides with numpy's fft; m^{-1/2} F is
 unitary and diagonalizes every circulant.
 """
 
+import math
+
 import numpy as np
 
 from .core import ToeplitzMatrix
@@ -107,36 +109,28 @@ def compress_circulant(C, n):
     return ToeplitzMatrix(t)
 
 
-def _shift(m):
-    S = np.zeros((m, m))
-    S[np.arange(m), (np.arange(m) - 1) % m] = 1.0
-    return S
-
-
 def tensor_map_rank(n):
     """
     Rank of the map sending f tensor T, for f on the cyclic group of order
     m = 2n-1 and T an n x n Toeplitz matrix, to
     sum_k f_k S^k (T + 0_{n-1}) S^{-k} inside the m x m matrices.
 
-    The rank equals m^2 exactly when the map is bijective; this holds for
-    prime m.
+    Conjugation by the shift S moves entries along wrapped diagonals, and
+    the diagonals j = -(n-1)..n-1 of T land on the m distinct wrapped
+    diagonals.  On diagonal j the map is cyclic convolution with a run of
+    L = n - |j| ones, whose transform vanishes at exactly gcd(L, m) - 1
+    nonzero frequencies.  The rank is therefore, exactly,
+
+        sum_j (m + 1 - gcd(n - |j|, m)).
+
+    It equals m^2 (the map is bijective) exactly when m is prime: a
+    composite m has a prime factor p <= sqrt(m) < n, and the run L = p
+    then has gcd(p, m) > 1.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     m = 2 * n - 1
-    S = _shift(m)
-    Sk = [np.linalg.matrix_power(S, k) for k in range(m)]
-    cols = []
-    for k in range(m):
-        for j in range(-n + 1, n):
-            tau = np.zeros(2 * n - 1, dtype=complex)
-            tau[j + n - 1] = 1.0
-            emb = np.zeros((m, m), dtype=complex)
-            emb[:n, :n] = ToeplitzMatrix(tau).dense()
-            cols.append((Sk[k] @ emb @ Sk[k].T).ravel())
-    A = np.array(cols).T
-    return int(np.linalg.matrix_rank(A, tol=1e-9 * np.linalg.norm(A, 2)))
+    return sum(m + 1 - math.gcd(n - abs(j), m) for j in range(-n + 1, n))
 
 
 def circulant_to_json(C):

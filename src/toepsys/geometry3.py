@@ -68,6 +68,13 @@ DISCRIMINANT_TERMS = [
     (-64, (0, 0, 0, 2)),
 ]
 
+_DISC_COEFFS = np.array([c for c, _ in DISCRIMINANT_TERMS], dtype=float)
+_DISC_POWERS = np.array([p for _, p in DISCRIMINANT_TERMS])
+# partial derivative i: coefficients c p_i and exponents p - e_i
+_DISC_GRAD_COEFFS = _DISC_COEFFS * _DISC_POWERS.T
+_DISC_GRAD_POWERS = np.maximum(
+    _DISC_POWERS[None] - np.eye(4, dtype=int)[:, None], 0)
+
 
 class ConeCoords:
     """Real coordinates (a, b, c, d, u) of a hermitian 3 x 3 Toeplitz matrix."""
@@ -144,26 +151,34 @@ def sigma(x, y, s):
     return ConeCoords(*vals)
 
 
+def _epsilon_coords(x, y):
+    """The coordinates (W, X, Y, Z) of epsilon(x, y), elementwise in x, y."""
+    r = np.cos(x - y) + 2.0
+    return (2 * (np.cos(x) + np.cos(y)) / r,
+            2 * (np.sin(x) + np.sin(y)) / r,
+            np.cos(x + y) / r,
+            np.sin(x + y) / r)
+
+
+def _beta_coords(x, y, s):
+    """The coordinates (W, X, Y, Z) of beta(x, y, s), elementwise."""
+    return tuple(s * a + (1 - s) * b
+                 for a, b in zip(_epsilon_coords(x, y),
+                                 _epsilon_coords(x, y + np.pi)))
+
+
 def epsilon_state(x, y):
     """
     The extreme state supported at the node pair (x, y):
     W = 2(cos x + cos y)/r, X = 2(sin x + sin y)/r, Y = cos(x+y)/r,
     Z = sin(x+y)/r with r = cos(x-y) + 2.  Symmetric in (x, y).
     """
-    r = np.cos(x - y) + 2.0
-    return StateCoords(2 * (np.cos(x) + np.cos(y)) / r,
-                       2 * (np.sin(x) + np.sin(y)) / r,
-                       np.cos(x + y) / r,
-                       np.sin(x + y) / r)
+    return StateCoords(*_epsilon_coords(x, y))
 
 
 def beta(x, y, s):
     """Boundary segment s epsilon(x, y) + (1-s) epsilon(x, y + pi)."""
-    e0 = epsilon_state(x, y)
-    e1 = epsilon_state(x, y + np.pi)
-    vals = [s * a + (1 - s) * b
-            for a, b in zip(e0.as_tuple(), e1.as_tuple())]
-    return StateCoords(*vals)
+    return StateCoords(*_beta_coords(x, y, s))
 
 
 def surface_residual(X, Y, Z):
@@ -173,27 +188,37 @@ def surface_residual(X, Y, Z):
             + 16 * Y * Y * Z2 + 16 * Z2 * Z2 - 16 * Z2)
 
 
+def _polynomial(coeffs, powers, v):
+    """sum_t coeffs[t] prod_i v_i ** powers[t, i] at stacked coordinates v
+    of shape (4, ...)."""
+    v = np.asarray(v, dtype=float)
+    k = np.arange(7).reshape((7,) + (1,) * (v.ndim - 1))
+    table = v[:, None] ** k
+    monomials = table[0, powers[:, 0]]
+    for i in range(1, 4):
+        monomials = monomials * table[i, powers[:, i]]
+    return np.tensordot(coeffs, monomials, axes=1)
+
+
+def _discriminant_values(v):
+    """The boundary polynomial at stacked coordinates v of shape (4, ...)."""
+    return _polynomial(_DISC_COEFFS, _DISC_POWERS, v)
+
+
+def _grad_discriminant_values(v):
+    """Its gradient, shape (4, ...), at stacked coordinates v."""
+    return np.array([_polynomial(c, p, v)
+                     for c, p in zip(_DISC_GRAD_COEFFS, _DISC_GRAD_POWERS)])
+
+
 def discriminant(q):
     """Value of the degree six boundary polynomial at state coordinates q."""
-    W, X, Y, Z = q.as_tuple()
-    return float(sum(c * W ** pw * X ** px * Y ** py * Z ** pz
-                     for c, (pw, px, py, pz) in DISCRIMINANT_TERMS))
+    return float(_discriminant_values(q.as_tuple()))
 
 
 def grad_discriminant(q):
-    """Analytic gradient of the boundary polynomial, term by term."""
-    v = q.as_tuple()
-    g = np.zeros(4)
-    for c, powers in DISCRIMINANT_TERMS:
-        for i in range(4):
-            if powers[i] == 0:
-                continue
-            term = c * powers[i]
-            for j in range(4):
-                p = powers[j] - (1 if j == i else 0)
-                term *= v[j] ** p
-            g[i] += term
-    return g
+    """Analytic gradient of the boundary polynomial at state coordinates q."""
+    return _grad_discriminant_values(q.as_tuple())
 
 
 def support_quartic(q):
@@ -288,10 +313,10 @@ def run_checks(samples=1000, seed=42):
     eps = [epsilon_state(x, y) for x, y in zip(xs, ys)]
     out["surface_on_epsilon"] = max(
         abs(surface_residual(e.X, e.Y, e.Z)) for e in eps)
-    out["discriminant_on_beta"] = max(
-        abs(discriminant(beta(x, y, s))) for x, y, s in zip(xs, ys, ss))
-    out["grad_discriminant_on_epsilon"] = max(
-        float(np.abs(grad_discriminant(e)).max()) for e in eps)
+    out["discriminant_on_beta"] = float(
+        np.abs(_discriminant_values(_beta_coords(xs, ys, ss))).max())
+    out["grad_discriminant_on_epsilon"] = float(
+        np.abs(_grad_discriminant_values(_epsilon_coords(xs, ys))).max())
     out["epsilon_symmetry"] = max(
         float(np.abs(np.subtract(epsilon_state(x, y).as_tuple(),
                                  epsilon_state(y, x).as_tuple())).max())

@@ -4,8 +4,12 @@ the propagation number.
 
 A system is given by a spanning set of N x N matrices; the span must be
 self-adjoint and contain the identity.  The propagation number is the
-smallest k for which the span of products of at most k elements is an
+smallest k for which the span S^k of products of at most k elements is an
 algebra.
+
+Because the system is unital, S^1 <= S^2 <= ... is a nested chain, and S^k
+is an algebra exactly when S^{k+1} = S^k.  The spans are computed once, as
+one chain of orthonormal bases that grows until it stops growing.
 """
 
 import numpy as np
@@ -59,58 +63,61 @@ def circulant_system(m):
 
 def _orthonormal_span(vectors):
     """Orthonormal rows spanning the same space, via singular vectors."""
-    A = np.array(vectors)
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
+    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
     keep = s > RANK_TOL * (s[0] if s.size else 1.0)
     return vh[keep]
 
 
-def _span_of_products(sys, k):
-    """Orthonormal basis (flattened) of span{products of <= k elements}."""
-    flats = [B.ravel() for B in sys.basis]
-    Q = _orthonormal_span(flats)
-    for _ in range(1, k):
-        mats = [q.reshape(sys.N, sys.N) for q in Q]
-        new = list(Q)
-        for M in mats:
-            for B in sys.basis:
-                new.append((M @ B).ravel())
-        Q2 = _orthonormal_span(new)
-        if Q2.shape[0] == Q.shape[0]:
-            return Q2
-        Q = Q2
-    return Q
+def _chain(sys, k_max):
+    """
+    Orthonormal bases Q_1, Q_2, ... (rows, flattened) of S^1 <= S^2 <= ...,
+    where S^k is the span of products of at most k elements.
 
-
-def _is_algebra(Q, N):
-    mats = [q.reshape(N, N) for q in Q]
-    probe = list(Q)
-    for A in mats:
-        for B in mats:
-            probe.append((A @ B).ravel())
-    return _orthonormal_span(probe).shape[0] == Q.shape[0]
+    Stops after k_max bases, or earlier once the chain is stationary: when
+    S^{k+1} = S^k or dim S^k = N^2.  Since S^{k+1} = S^k + N_k S with N_k
+    the directions new at step k, only those are multiplied by the basis.
+    """
+    N = sys.N
+    Q = _orthonormal_span(np.array([B.ravel() for B in sys.basis]))
+    basis = Q.reshape(-1, N, N)
+    chain = [Q]
+    new = Q
+    while len(chain) < k_max and Q.shape[0] < N * N:
+        P = np.matmul(new.reshape(-1, 1, N, N), basis).reshape(-1, N * N)
+        R = P - (P @ Q.conj().T) @ Q
+        tol = RANK_TOL * max(1.0, np.linalg.norm(P))
+        # ||R||_F bounds every singular value, so a small R adds no direction
+        if np.linalg.norm(R) <= tol:
+            break
+        _, s, vh = np.linalg.svd(R, full_matrices=False)
+        new = vh[s > tol]
+        if not new.shape[0]:
+            break
+        new = np.linalg.qr((new - (new @ Q.conj().T) @ Q).T)[0].T
+        Q = np.vstack([Q, new])
+        chain.append(Q)
+    return chain
 
 
 def product_span_dim(sys, k):
     """Complex dimension of the span of products of at most k elements."""
     if k < 1:
         raise ValueError("need k >= 1")
-    return int(_span_of_products(sys, k).shape[0])
+    return int(_chain(sys, k)[-1].shape[0])
 
 
 def propagation_number(sys, max_k=8):
     """
-    The smallest k <= max_k such that the span of products of at most k
-    elements is an algebra (equivalently, adding one more factor does not
-    enlarge it and it is closed under multiplication).
+    The smallest k <= max_k such that the span S^k of products of at most
+    k elements is an algebra.
+
+    The system is unital, so S^k <= S^{k+1}, and S^k is an algebra exactly
+    when S^{k+1} = S^k: then S^k S^j <= S^k by induction on j, and
+    conversely S^{k+1} = S^k S <= S^k S^k <= S^k.  The answer is therefore
+    the first index at which the chain of spans stops growing.
 
     Returns max_k + 1 when no such k is found.
     """
     if max_k < 1:
         raise ValueError("need max_k >= 1")
-    for k in range(1, max_k + 1):
-        Q = _span_of_products(sys, k)
-        Q1 = _span_of_products(sys, k + 1)
-        if Q1.shape[0] == Q.shape[0] and _is_algebra(Q, sys.N):
-            return k
-    return max_k + 1
+    return len(_chain(sys, max_k + 1))

@@ -101,3 +101,35 @@ def test_tensor_map_rank_prime_and_composite():
 def test_json_round_trip(rng):
     C = CirculantMatrix(rng.normal(size=4) + 1j * rng.normal(size=4))
     assert np.allclose(circulant_from_json(circulant_to_json(C)).c, C.c)
+
+
+def _dense_tensor_map_rank(n):
+    """The rank of the map f (x) T -> sum_k f_k S^k (T + 0) S^-k, from its
+    dense m^2 x m(2n-1) matrix."""
+    m = 2 * n - 1
+    S = np.zeros((m, m))
+    S[np.arange(m), (np.arange(m) - 1) % m] = 1.0
+    Sk = [np.linalg.matrix_power(S, k) for k in range(m)]
+    cols = []
+    for k in range(m):
+        for j in range(-n + 1, n):
+            tau = np.zeros(2 * n - 1, dtype=complex)
+            tau[j + n - 1] = 1.0
+            emb = np.zeros((m, m), dtype=complex)
+            emb[:n, :n] = ts.toeplitz_from_coeffs(tau).dense()
+            cols.append((Sk[k] @ emb @ Sk[k].T).ravel())
+    A = np.array(cols).T
+    return int(np.linalg.matrix_rank(A, tol=1e-9 * np.linalg.norm(A, 2)))
+
+
+def test_tensor_map_rank_exact():
+    expected = [9, 25, 49, 77, 121, 169, 209]
+    for n, rank in zip(range(2, 9), expected):
+        assert ts.tensor_map_rank(n) == rank == _dense_tensor_map_rank(n)
+
+
+def test_tensor_map_rank_full_iff_prime():
+    for n in range(2, 61):
+        m = 2 * n - 1
+        prime = all(m % p for p in range(2, int(m ** 0.5) + 1))
+        assert (ts.tensor_map_rank(n) == m * m) == prime

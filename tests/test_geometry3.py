@@ -149,3 +149,23 @@ def test_sample_surfaces():
 def test_run_checks():
     out = g3.run_checks(samples=200)
     assert out["ok"]
+
+
+def test_discriminant_arrays_match_scalar_api(rng):
+    pts = rng.uniform(-1, 1, size=(4, 6, 5))
+    values = g3._discriminant_values(pts)
+    grads = g3._grad_discriminant_values(pts)
+    assert values.shape == (6, 5) and grads.shape == (4, 6, 5)
+    for idx in np.ndindex(6, 5):
+        q = g3.StateCoords(*pts[(slice(None),) + idx])
+        assert values[idx] == pytest.approx(g3.discriminant(q), rel=1e-12)
+        assert np.allclose(grads[(slice(None),) + idx],
+                           g3.grad_discriminant(q), rtol=1e-12, atol=0)
+
+
+def test_discriminant_equals_plain_sum_over_terms():
+    W, X, Y, Z = 0.3, -0.7, 0.45, 0.2
+    plain = sum(c * W ** pw * X ** px * Y ** py * Z ** pz
+                for c, (pw, px, py, pz) in g3.DISCRIMINANT_TERMS)
+    assert g3.discriminant(g3.StateCoords(W, X, Y, Z)) == pytest.approx(
+        plain, rel=1e-12)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,43 @@ def test_full_matrix_algebra():
 def test_toeplitz_propagation():
     for n in range(2, 9):
         assert ts.propagation_number(ts.toeplitz_system(n)) == 2
+
+
+def _tolerance_system(N, w, cyclic=False):
+    """The matrix units E_ij with i and j at most w apart, on a path of N
+    points or, if cyclic, on a cycle of N points."""
+    i, j = np.indices((N, N))
+    d = np.abs(i - j)
+    if cyclic:
+        d = np.minimum(d, N - d)
+    mats = []
+    for a, b in zip(*np.nonzero(d <= w)):
+        E = np.zeros((N, N))
+        E[a, b] = 1
+        mats.append(E)
+    return ts.MatrixSystem(mats)
+
+
+@pytest.mark.parametrize("N, w, expected",
+                         [(4, 1, 3), (6, 1, 5), (8, 1, 7), (9, 2, 4), (10, 1, 9)])
+def test_band_tolerance_propagation(N, w, expected):
+    assert expected == -(-(N - 1) // w)
+    assert ts.propagation_number(_tolerance_system(N, w)) == expected
+
+
+@pytest.mark.parametrize("N, w, expected", [(8, 1, 4), (10, 2, 3), (11, 1, 5)])
+def test_cyclic_tolerance_propagation(N, w, expected):
+    assert expected == -(-(N // 2) // w)
+    assert ts.propagation_number(_tolerance_system(N, w, cyclic=True)) == expected
+
+
+def test_propagation_cap_and_span_dims():
+    assert ts.propagation_number(_tolerance_system(8, 1), max_k=3) == 4
+    band = _tolerance_system(4, 1)
+    assert [ts.product_span_dim(band, k) for k in (1, 2, 3)] == [10, 14, 16]
+
+
+def test_toeplitz_propagation_n16_is_fast():
+    start = time.perf_counter()
+    assert ts.propagation_number(ts.toeplitz_system(16)) == 2
+    assert time.perf_counter() - start < 2.0
