@@ -9,8 +9,10 @@ a Toeplitz matrix has entry (k, l) equal to ``t[k - l]``.
 
 import numpy as np
 
-#: relative tolerance for accepting a node/root as lying on the unit circle
-CIRCLE_TOL = 1e-8
+#: Taylor order of the circle layer's cells (with its factorials), the
+#: depth of bisections below its grid, and the cap on its Newton steps
+_TAYLOR, _DEPTH, _NEWTON_STEPS = 14, 40, 30
+_FACT = np.cumprod(np.r_[1.0, np.arange(1.0, _TAYLOR + 2)])
 
 
 def _as_coeffs(seq):
@@ -116,7 +118,9 @@ class FRElement:
             if not np.allclose(clipped, 0, atol=1e-300):
                 raise ValueError("cannot shrink support below nonzero coefficients")
             return FRElement(body)
-        return FRElement(np.pad(self.a, pad))
+        out = np.zeros(2 * n - 1, dtype=complex)
+        out[pad:pad + self.a.size] = self.a
+        return FRElement(out)
 
     def __add__(self, other):
         n = max(self.n, other.n)
@@ -133,15 +137,6 @@ class FRElement:
 
     def __repr__(self):
         return "FRElement(n=%d, a=%r)" % (self.n, list(self.a))
-
-
-class FourierVector:
-    """Unit column (1, z, ..., z^{n-1}) / sqrt(n) used for rank-one rays."""
-
-    def __init__(self, z, n):
-        self.z = complex(z)
-        self.n = int(n)
-        self.v = self.z ** np.arange(self.n) / np.sqrt(self.n)
 
 
 def toeplitz_from_coeffs(t):
@@ -195,10 +190,13 @@ def is_positive(T, tol=1e-9):
     """
     if not T.hermitian:
         raise ValueError("is_positive requires a hermitian Toeplitz matrix")
-    w = np.linalg.eigvalsh(T.dense())
-    lam_min = float(w[0])
+    return spectrum_is_positive(np.linalg.eigvalsh(T.dense()), tol)
+
+
+def spectrum_is_positive(w, tol):
+    """``is_positive``'s answer from the ascending eigenvalues w of T."""
     scale = float(np.abs(w).max()) if w.size else 0.0
-    return lam_min >= -tol * scale, lam_min
+    return float(w[0]) >= -tol * scale, float(w[0])
 
 
 def pairing(T, a):
@@ -221,47 +219,142 @@ def fr_convolve(a, b):
     return FRElement(np.convolve(a.a, b.a))
 
 
+def _quadratic_min(c0, c1, c2, r):
+    """Minimum of c0 + c1 s + c2 s^2 over |s| <= r, elementwise."""
+    inside = (c2 > 0) & (np.abs(c1) < 2 * c2 * r)
+    return np.where(inside, c0 - c1 * c1 / (4 * np.where(inside, c2, 1.0)),
+                    c0 + c2 * r * r - np.abs(c1) * r)
+
+
+class CircleLayer:
+    """
+    Certified cells for the real trigonometric polynomial p of a
+    palindromic sequence ``a`` (ascending, degree d = n - 1): the circle in
+    L = 2^ceil(log2 8n) >= 64 cells [theta - r, theta + r], r = pi / L,
+    with the Taylor rows C_i = p^(i)(theta) / i!, i <= _TAYLOR, of their
+    centres, all sampled by one batched real FFT.  As d r <= pi / 8, the
+    remainder of a cell's Taylor sum is below e ||a||_1 (d r)^15 / 15!,
+    and the rows are exact to rnd = 8 e L eps ||a||_1 on a cell.
+    """
+
+    def __init__(self, a):
+        a = np.asarray(a, dtype=complex)
+        n = (a.size + 1) // 2
+        self.d, self.norm = n - 1, float(np.abs(a).sum())
+        self.L = L = max(64, 1 << int(np.ceil(np.log2(8 * n))))
+        k = np.arange(n)
+        i = np.arange(_TAYLOR + 1)[:, None]
+        self.w = a[n - 1:] * (1j * k) ** i / _FACT[i]
+        self.double = np.where(k > 0, 2.0, 1.0)
+        self.theta, self.r = 2 * np.pi * np.arange(L) / L, np.full(L, np.pi / L)
+        self.C = L * np.fft.irfft(self.w, L)
+        self.rnd = 8 * np.e * L * np.finfo(float).eps * self.norm
+
+    def rows(self, theta, m=_TAYLOR + 1):
+        """The first m Taylor rows at the angles theta, summed directly with
+        the powers e^{ik theta} as cumulative products (rounding k eps)."""
+        E = np.vander(np.exp(1j * theta), self.d + 1, increasing=True).T
+        return np.real((self.w[:m] * self.double) @ E)
+
+    def bounds(self, C, r, m=0):
+        """
+        Lower and upper bounds of p^(m) on the cells (rows C, radii r): with
+        D the rows of p^(m), var = sum_{j >= 3} |D_j| r^j plus the remainder
+        is at most s^2 var / r^2 on |s| <= r, so the bounds are the extrema
+        of D_0 + D_1 s + (D_2 -+ var / r^2) s^2, widened by rnd d^m.
+        """
+        deg = _TAYLOR - m
+        D = C[m:] * (_FACT[m:_TAYLOR + 1] / _FACT[:deg + 1])[:, None]
+        var = (np.abs(D[3:]) * r ** np.arange(3, deg + 1)[:, None]).sum(axis=0) \
+            + np.e * self.norm * self.d ** m * (self.d * r) ** (deg + 1) / _FACT[deg + 1]
+        rnd, q = self.rnd * self.d ** m, var / (r * r)
+        return (_quadratic_min(D[0], D[1], D[2] - q, r) - rnd,
+                -_quadratic_min(-D[0], -D[1], -D[2] - q, r) + rnd)
+
+    def pieces(self, below=np.inf):
+        """
+        Angles, sorted from -pi / L on, and the values of p there, with p
+        monotone between consecutive angles, so that its extrema are among
+        the values.  They are the cell edges, sampled by one FFT, and, in
+        each cell where the bounds of p' do not exclude 0 and p moves by
+        more than rounding, the zero of p' found by Newton when the bounds
+        of p'' exclude 0, or else the centre, the halves being taken in
+        turn (to _DEPTH levels).  Cells on which p is bounded below by
+        ``below`` add only their edges.
+        """
+        theta, r, C = self.theta, self.r, self.C
+        shift = np.exp(-1j * np.arange(self.d + 1) * np.pi / self.L)
+        pts, vals = [theta - r], [self.L * np.fft.irfft(self.w[0] * shift, self.L)]
+        if below < np.inf:
+            low = self.bounds(C, r)[0] < below
+            theta, r, C = theta[low], r[low], C[:, low]
+        for depth in range(_DEPTH + 1 if theta.size else 0):
+            (s_lo, s_hi), (c_lo, c_hi) = self.bounds(C, r, 1), self.bounds(C, r, 2)
+            todo = (s_lo <= 0) & (s_hi >= 0) & (np.maximum(-s_lo, s_hi) * r > self.rnd)
+            one = todo & ((c_lo > 0) | (c_hi < 0))
+            split = todo & ~one
+            t, lo, hi = theta[one], (theta - r)[one], (theta + r)[one]
+            c1, c2 = C[1, one], C[2, one]
+            t = np.clip(t - c1 / np.where(c2 != 0, 2 * c2, np.inf), lo, hi)
+            for _ in range(_NEWTON_STEPS):
+                # steps stop where p' is at rounding level or clipping holds
+                D = self.rows(t, 3)
+                step = np.clip(t - D[1] / np.where(D[2] != 0, 2 * D[2], np.inf), lo, hi)
+                move = (np.abs(D[1]) > self.rnd * self.d) & (step != t)
+                if not move.any():
+                    break
+                t = np.where(move, step, t)
+            else:
+                D = self.rows(t, 1)
+            pts += [t, theta[split]]
+            vals += [D[0], C[0, split]]
+            if depth == _DEPTH or not split.any():
+                break
+            h = r[split] / 2
+            theta, r = np.r_[theta[split] - h, theta[split] + h], np.r_[h, h]
+            C = self.rows(theta)
+        pts, vals = np.concatenate(pts), np.concatenate(vals)
+        order = np.argsort(pts)
+        return pts[order], vals[order]
+
+
 def trig_minimum(a, refine=True):
     """
     Minimum over theta of the real circle function of a palindromic sequence.
 
-    The minimum is located through the stationary points, i.e. the on-circle
-    roots of the derivative sequence k -> i k a_k, rather than a grid search.
-    Returns ``(min_value, argmin_theta)``.
+    The least value at the points of CircleLayer.pieces, between which the
+    function is monotone, in the cells whose bound is below the least
+    sample of the grid: certified up to rounding, with the minimum
+    polished by Newton on the derivative.  ``refine`` is kept for
+    compatibility; the minimum is always refined.  Returns
+    ``(min_value, argmin_theta)``.
     """
-    n = a.n
-    k = np.arange(-n + 1, n)
-    thetas = [0.0]
-    deriv = 1j * k * a.a
-    if np.abs(deriv).max() > 0:
-        # roots of z^{n-1} * a'(z); stationary angles are the on-circle ones
-        c = np.trim_zeros(deriv)
-        if c.size > 1:
-            roots = np.roots(c[::-1])
-            on_circle = roots[np.abs(np.log(np.abs(roots) + 1e-300)) < 1e-6]
-            thetas.extend(np.angle(on_circle).tolist())
-    # coarse fallback samples guard against missed stationary points
-    thetas.extend(np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False).tolist())
-    vals = np.real(a(np.asarray(thetas)))
-    i = int(np.argmin(vals))
-    return float(vals[i]), float(thetas[i])
+    lay = CircleLayer(a.a)
+    pts, vals = lay.pieces(below=lay.C[0].min() + lay.rnd)
+    j = int(np.argmin(vals))
+    return float(vals[j]), float(pts[j] % (2 * np.pi))
 
 
 def fr_is_positive(a, tol=1e-9):
     """
     True iff the circle function of the palindromic sequence ``a`` satisfies
-    min_theta a(theta) >= -tol * ||a||.
+    min_theta a(theta) >= -tol * ||a||_1.
+
+    Certified both ways by a CircleLayer: cells whose Taylor bound is above
+    -tol ||a||_1 pass on the bound, and the others are refined until the
+    function is monotone between samples, so it rejects only on a sample
+    below the floor (a witness) and accepts only when there is none, up to
+    rounding of about 1e-16 L ||a||_1 on the L ~ 8n angles of the grid.
     """
     if not a.palindromic:
         raise ValueError("positivity is only defined for palindromic sequences")
-    m, _ = trig_minimum(a)
-    scale = float(np.abs(a.a).sum())
-    return m >= -tol * scale
+    floor = -tol * float(np.abs(a.a).sum())
+    return bool(CircleLayer(a.a).pieces(below=floor)[1].min() >= floor)
 
 
 def fourier_vector(z, n):
     """The unit vector (1, z, ..., z^{n-1}) / sqrt(n) as a numpy array."""
-    return FourierVector(z, n).v
+    return complex(z) ** np.arange(int(n)) / np.sqrt(n)
 
 
 def extreme_ray(lam, n):

@@ -3,20 +3,23 @@ Node/weight decompositions of positive Toeplitz matrices.
 
 Every positive Toeplitz matrix is a nonnegative combination of the rank-one
 matrices gamma(lambda) with nodes lambda on the unit circle; at rank
-r <= n-1 the node set is unique and recovered from the common roots of the
-kernel polynomials, while at full rank one extreme ray is peeled off first
-and the deficient-rank remainder is decomposed.
+r <= n-1 the node set is unique and recovered from the shift invariance of
+the range, while at full rank one extreme ray is peeled off first and the
+deficient-rank remainder is decomposed.
 """
 
 import numpy as np
 
-from .core import ToeplitzMatrix, extreme_ray, fourier_vector, is_positive
+from .core import ToeplitzMatrix, extreme_ray, fourier_vector, spectrum_is_positive
 
 #: angular radius used to coalesce numerically split nodes
 NODE_CLUSTER_TOL = 1e-6
 
-#: grid resolution for choosing the ray peeled off a full-rank matrix
+#: least grid resolution for choosing the ray peeled off a full-rank matrix
 PEEL_GRID = 256
+
+#: cap on the Gauss-Newton steps that refine the nodes in kernel_roots
+_NODE_STEPS = 20
 
 
 class VandermondeDecomposition:
@@ -54,91 +57,77 @@ def reconstruct(vd, n):
     """Assemble sum_i d_i gamma(lambda_i) as an n x n Toeplitz matrix."""
     if np.any(vd.weights < 0):
         raise ValueError("weights must be nonnegative")
-    t = np.zeros(2 * n - 1, dtype=complex)
     k = np.arange(-n + 1, n)
-    for theta, d in zip(vd.angles, vd.weights):
-        t += d * np.exp(1j * theta) ** k / n
-    return ToeplitzMatrix(t)
+    return ToeplitzMatrix(np.exp(1j * np.outer(k, vd.angles)) @ vd.weights / n)
 
 
-def _kernel_basis(T, tol):
-    w, v = np.linalg.eigh(T.dense())
-    scale = max(float(np.abs(w).max()), 1e-300)
-    keep = w <= tol * scale
-    return v[:, keep], w, scale
+def _positive_eigh(T, tol, caller):
+    """One eigendecomposition of T, checked with ``is_positive``'s rule."""
+    if T.hermitian:
+        w, V = np.linalg.eigh(T.dense())
+        if spectrum_is_positive(w, max(tol, 1e-9))[0]:
+            return w, V, float(np.abs(w).max())
+    raise ValueError("%s requires a positive hermitian matrix" % caller)
 
 
 def kernel_roots(T, tol=1e-9):
     """
-    The nodes of a singular positive Toeplitz matrix: the common on-circle
-    roots of the polynomials sum_k xi_k z^k over the kernel vectors xi.
+    The nodes of a singular positive Toeplitz matrix: the zeros on the
+    circle of g(theta) = ||u(theta)||^2, u(theta) = K^H f_theta with K an
+    orthonormal kernel basis and f_theta the unit Fourier vector, since a
+    kernel vector is orthogonal to every f_lambda of a node.  There are
+    rank(T) of them.  They are started from the shift invariance of the
+    range (as in vandermonde_decompose) and refined by Newton on g' with
+    the Gauss-Newton curvature 2 ||u'||^2: u has simple zeros, so nodes
+    stay resolved where g, a square, is flat below rounding between close
+    nodes.  A refined angle is a node when g is below sqrt(tol) times its
+    mean dim(ker) / n: at a node g is the square of the kernel's rounding,
+    elsewhere a fair fraction of that mean.
 
     Raises
     ------
     ValueError
-        If T is nonsingular (empty kernel at the given tolerance), or if the
-        kernel polynomials have a common root detectably off the circle.
+        If T is nonsingular (empty kernel at the given tolerance), or if g
+        has no zero on the circle.
     """
-    ok, _ = is_positive(T, tol=max(tol, 1e-9))
-    if not ok:
-        raise ValueError("kernel_roots requires a positive matrix")
-    K, w, scale = _kernel_basis(T, max(tol, 1e-9))
-    if K.shape[1] == 0:
+    w, V, scale = _positive_eigh(T, tol, "kernel_roots")
+    kern = w <= max(tol, 1e-9) * max(scale, 1e-300)
+    K = V[:, kern].conj().T
+    if K.shape[0] == 0:
         raise ValueError("matrix is nonsingular at tolerance %g" % tol)
-
-    xi = K[:, 0]
-    # kernel vectors are orthogonal to f_lambda, so the polynomial of xi
-    # vanishes at conj(lambda): candidate nodes are conjugated roots
-    roots = np.conj(np.roots(np.trim_zeros(xi)[::-1]))
-    nodes = []
-    powers = np.arange(T.n)
-    for z in roots:
-        if abs(np.log(abs(z) + 1e-300)) > 1e-4:
-            continue
-        zn = z / abs(z)
-        vals = np.abs(K.T.conj() @ (zn ** powers)) / np.sqrt(T.n)
-        if np.all(vals < 1e-5):
-            nodes.append(zn)
-    if not nodes:
+    p = np.arange(T.n)[:, None]
+    theta = _subspace_nodes(V[:, ~kern])
+    for _ in range(_NODE_STEPS):
+        E = np.exp(1j * p * theta) / np.sqrt(T.n)
+        u, du = K @ E, K @ (1j * p * E)
+        step = np.real(np.sum(du.conj() * u, axis=0)) / np.maximum(
+            np.sum(np.abs(du) ** 2, axis=0), 1e-300)
+        theta = theta - step
+        if np.abs(step).max(initial=0.0) <= 4 * np.finfo(float).eps:
+            break
+    g = np.sum(np.abs(K @ np.exp(1j * p * theta)) ** 2, axis=0) / T.n
+    nodes = theta[g <= np.sqrt(max(tol, 1e-9)) * K.shape[0] / T.n]
+    if nodes.size == 0:
         raise ValueError("kernel polynomials have no common circle root; "
                          "input is not a positive Toeplitz matrix")
-    # coalesce split nodes
-    angles = np.sort(np.angle(nodes) % (2 * np.pi))
-    merged = [angles[0]]
-    for th in angles[1:]:
-        if th - merged[-1] > NODE_CLUSTER_TOL:
-            merged.append(th)
-    if len(merged) > 1 and (2 * np.pi + merged[0]) - merged[-1] <= NODE_CLUSTER_TOL:
-        merged.pop()
-    return np.exp(1j * np.asarray(merged))
+    return np.exp(1j * np.sort(nodes % (2 * np.pi)))
 
 
-def _solve_weights(T, angles, tol):
-    """Least-squares weights for given nodes, clamped to be nonnegative.
-
-    Transient negatives can occur while the node estimates are still rough;
-    the Gauss-Newton polish and the caller's reconstruction check are the
-    real guards.
-    """
-    n = T.n
-    k = np.arange(-n + 1, n)
-    A = np.exp(1j * np.outer(k, angles)) / n
-    M = np.vstack([A.real, A.imag])
-    rhs = np.concatenate([T.t.real, T.t.imag])
-    d, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return np.clip(d, 0.0, None)
-
-
-def _refine(T, angles, weights, iters=12):
+def _refine(T, angles, iters=12):
     """Gauss-Newton on (angles, weights) against the coefficients of T.
 
-    Keeps the best iterate rather than the last; near-coincident nodes make
-    the Jacobian rank deficient, which lstsq absorbs.
+    Starts from the least-squares weights for the given nodes, clamped to
+    be nonnegative, and keeps the best iterate rather than the last;
+    near-coincident nodes make the Jacobian rank deficient, which lstsq
+    absorbs.  Transient negative weights are clamped at the end; the
+    caller's reconstruction check is the real guard.
     """
-    n = T.n
+    n, r = T.n, angles.size
     k = np.arange(-n + 1, n)
-    x = np.concatenate([angles, weights])
-    r = angles.size
+    A = np.exp(1j * np.outer(k, angles)) / n
+    d, *_ = np.linalg.lstsq(np.vstack([A.real, A.imag]),
+                            np.concatenate([T.t.real, T.t.imag]), rcond=None)
+    x = np.concatenate([angles, np.clip(d, 0.0, None)])
     best, best_err = x.copy(), np.inf
     for _ in range(iters):
         th, d = x[:r], x[r:]
@@ -148,12 +137,9 @@ def _refine(T, angles, weights, iters=12):
         if err < best_err:
             best_err, best = err, x.copy()
         # d(model)/d(theta_i) = d_i * i k e^{i k theta_i} / n
-        Jth = 1j * k[:, None] * E * d[None, :] / n
-        Jd = E / n
-        J = np.hstack([Jth, Jd])
-        JR = np.vstack([J.real, J.imag])
-        rr = np.concatenate([resid.real, resid.imag])
-        step, *_ = np.linalg.lstsq(JR, -rr, rcond=None)
+        J = np.hstack([1j * k[:, None] * E * d[None, :] / n, E / n])
+        step, *_ = np.linalg.lstsq(np.vstack([J.real, J.imag]),
+                                   -np.concatenate([resid.real, resid.imag]), rcond=None)
         x = x + step
         if np.linalg.norm(step) < 1e-15:
             break
@@ -161,14 +147,12 @@ def _refine(T, angles, weights, iters=12):
     return th % (2 * np.pi), d
 
 
-def _subspace_nodes(M, r):
+def _subspace_nodes(Us):
     """
     Node angles from the rotational invariance of the signal subspace: with
-    columns f_lambda spanning the range, the shifted range rows satisfy
-    Us[1:] = Us[:-1] Phi where Phi has the nodes as eigenvalues.
+    columns f_lambda spanning the range, any orthonormal basis Us of it
+    satisfies Us[1:] = Us[:-1] Phi where Phi has the nodes as eigenvalues.
     """
-    w, V = np.linalg.eigh(M)
-    Us = V[:, -r:]
     Phi, *_ = np.linalg.lstsq(Us[:-1], Us[1:], rcond=None)
     return np.angle(np.linalg.eigvals(Phi)) % (2 * np.pi)
 
@@ -181,52 +165,49 @@ def vandermonde_decompose(T, tol=1e-9):
     decomposition); they are estimated from the shift invariance of the
     range of T and polished by Gauss-Newton on the coefficients.  At full
     rank one ray is peeled off first: the grid maximizer lambda of
-    <f_lambda, T f_lambda> is removed with the extremal coefficient
-    s = 1 / <f_lambda, T^{-1} f_lambda>, which drops the rank by one.
-    Full-rank decompositions are not unique; only reconstruction is
-    canonical.
+    <f_lambda, T f_lambda>, the trigonometric polynomial with coefficients
+    (1 - |k| / n) conj(t_k) sampled by one FFT, is removed with the
+    extremal coefficient s = 1 / <f_lambda, T^{-1} f_lambda>, which drops
+    the rank by one and leaves v = T^{-1} f_lambda as the kernel.  One
+    eigendecomposition of T serves the positivity check, the rank, T^{-1}
+    and the range.  Full-rank decompositions are not unique; only
+    reconstruction is canonical.
     """
-    ok, _ = is_positive(T, tol=max(tol, 1e-9))
-    if not ok:
-        raise ValueError("vandermonde_decompose requires a positive matrix")
+    w, V, scale = _positive_eigh(T, tol, "vandermonde_decompose")
     n = T.n
-    w = np.linalg.eigvalsh(T.dense())
-    scale = max(float(np.abs(w).max()), 0.0)
     if scale == 0.0:
         return VandermondeDecomposition([], [])
     if n == 1:
         return VandermondeDecomposition([0.0], [float(np.real(T.t[0]))])
     rank = int(np.sum(w > 1e-12 * scale))
 
-    peeled = []
+    peel = None
     if rank == n:
         # deterministic grid choice of the ray to remove
-        grid = 2 * np.pi * np.arange(PEEL_GRID) / PEEL_GRID
-        M = T.dense()
-        vals = np.array([np.real(np.vdot(fourier_vector(np.exp(1j * th), n),
-                                         M @ fourier_vector(np.exp(1j * th), n)))
-                         for th in grid])
-        th_hat = float(grid[int(np.argmax(vals))])
-        f = fourier_vector(np.exp(1j * th_hat), n)
-        s = float(1.0 / np.real(np.vdot(f, np.linalg.solve(M, f))))
-        T = T - s * extreme_ray(np.exp(1j * th_hat), n)
-        peeled.append((th_hat, s))
-        rank = n - 1
-
-    angles = _subspace_nodes(T.dense(), rank)
-    weights = _solve_weights(T, angles, tol)
-    angles, weights = _refine(T, angles, weights)
-
-    for th, s in peeled:
+        L = max(PEEL_GRID, 1 << int(np.ceil(np.log2(2 * n))))
+        k = np.arange(n)
+        th = 2 * np.pi * int(np.argmax(np.fft.irfft((n - k) / n * np.conj(T.t[n - 1:]), L))) / L
+        f = fourier_vector(np.exp(1j * th), n)
+        v = V @ ((V.conj().T @ f) / w)
+        peel = th, float(1.0 / np.real(np.vdot(f, v)))
+        T = T - peel[1] * extreme_ray(np.exp(1j * th), n)
+        # the columns after the first of the Householder reflector taking
+        # v to a multiple of e_1 span the range of T, v's complement
+        x = v / np.linalg.norm(v)
+        x[0] += np.exp(1j * np.angle(x[0]))
+        Us = np.eye(n)[:, 1:] - 2 * np.outer(x, x[1:].conj()) / np.vdot(x, x).real
+    else:
+        Us = V[:, -rank:]
+    angles, weights = _refine(T, _subspace_nodes(Us))
+    if peel is not None:
         # merge the peeled ray back in, coalescing with an existing node if hit
+        th, s = peel
         close = np.nonzero(np.abs((angles - th + np.pi) % (2 * np.pi) - np.pi)
                            <= NODE_CLUSTER_TOL)[0]
         if close.size:
             weights[close[0]] += s
         else:
-            angles = np.append(angles, th)
-            weights = np.append(weights, s)
-
+            angles, weights = np.append(angles, th), np.append(weights, s)
     keep = weights > 1e-13 * max(1.0, weights.max())
     return VandermondeDecomposition(angles[keep], weights[keep])
 

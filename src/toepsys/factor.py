@@ -18,10 +18,9 @@ from .core import FRElement, fr_convolve, fr_is_positive
 
 #: cap on the Levenberg-Marquardt steps tried by the coefficient polish
 _POLISH_STEPS = 100
-#: grid points per coefficient (at least 2**12 in all) and relative floor
-#: of the cepstral start
-_CEPSTRUM_OVERSAMPLE = 2048
-_CEPSTRUM_FLOOR = 1e-13
+#: grid points per coefficient at the start and at most, and relative
+#: floor of the cepstral start
+_CEPSTRUM_START, _CEPSTRUM_OVERSAMPLE, _CEPSTRUM_FLOOR = 16, 2048, 1e-13
 
 
 class SpectralFactor:
@@ -150,25 +149,35 @@ def _polish(q, a):
 def _cepstral_start(a, m):
     """
     Minimum-phase factor with m coefficients of a + floor, the floor
-    _CEPSTRUM_FLOOR max a, by the cepstrum (Kolmogorov's method), on a grid
-    of about _CEPSTRUM_OVERSAMPLE m angles.  With c the Fourier coefficients
-    of log(a + floor), p = exp(c_0 / 2 + sum_{k>0} c_k z^k) has
-    |p|^2 = a + floor on the circle and no zeros in the closed disc; its
-    reversal z^{m-1} conj(p(1/conj z)) has the same modulus on the circle
-    and all its zeros in the disc.  The floor keeps the logarithm finite at circle
-    zeros and moves circle roots ~sqrt(floor) into the disc; unlike
-    companion eigenvalues it does not scatter clustered roots.  The grid
-    grows with m because aliasing of the cepstrum near circle zeros moves
-    roots of the start out of the disc, which the polish keeps.
+    _CEPSTRUM_FLOOR max a, by the cepstrum (Kolmogorov's method).  With c
+    the Fourier coefficients of log(a + floor), p = exp(c_0 / 2 +
+    sum_{k>0} c_k z^k) has |p|^2 = a + floor on the circle and no zeros in
+    the closed disc; its reversal z^{m-1} conj(p(1/conj z)) has the same
+    modulus on the circle and all its zeros in the disc.  The floor keeps
+    the logarithm finite at circle zeros and moves circle roots
+    ~sqrt(floor) into the disc; unlike companion eigenvalues it does not
+    scatter clustered roots.  The grid starts near _CEPSTRUM_START m
+    angles and doubles, up to about _CEPSTRUM_OVERSAMPLE m (at least
+    2**12), while the aliased upper half of the cepstrum is above
+    rounding: it decays geometrically without circle zeros and like 1 / k
+    near them, where the grid goes to the cap at once, since aliasing
+    would move roots of the start out of the disc, which the polish keeps.
     """
-    L = 1 << max(12, int(np.ceil(np.log2(_CEPSTRUM_OVERSAMPLE * m))))
-    w = np.zeros(L, dtype=complex)
-    w[np.arange(-m + 1, m) % L] = a.resize(m).a
-    vals = np.maximum(np.real(np.fft.ifft(w)) * L, 0.0)
-    c = np.fft.fft(np.log(vals + _CEPSTRUM_FLOOR * vals.max())) / L
+    L, tail = 1 << int(np.ceil(np.log2(_CEPSTRUM_START * m))), np.inf
+    half = a.resize(m).a[m - 1:]
+    cap = 1 << int(np.ceil(np.log2(max(_CEPSTRUM_OVERSAMPLE * m, 1 << 12))))
+    while True:
+        vals = np.maximum(L * np.fft.irfft(half, L), 0.0)
+        logs = np.log(vals + _CEPSTRUM_FLOOR * vals.max())
+        c = np.fft.rfft(logs) / L
+        last, tail = tail, np.abs(c[L // 4:]).max()
+        if L >= cap or tail <= 64 * np.finfo(float).eps * np.abs(logs).max():
+            break
+        # a tail that doubling does not cut fourfold decays like 1 / k: jump
+        L = cap if tail > last / 4 else 2 * L
     c[0] /= 2.0
-    c[L // 2:] = 0.0
-    p = (np.fft.fft(np.exp(np.fft.ifft(c) * L)) / L)[:m]
+    c[L // 2] = 0.0
+    p = (np.fft.fft(np.exp(np.fft.ifft(c, L) * L)) / L)[:m]
     return np.conj(p[::-1])
 
 

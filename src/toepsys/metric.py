@@ -14,7 +14,7 @@ for comparison.
 
 import numpy as np
 
-from .core import FRElement, ToeplitzMatrix
+from .core import CircleLayer, FRElement, ToeplitzMatrix
 
 #: hard cap on the number of Newton steps per solve
 MAX_NEWTON = 500
@@ -24,8 +24,10 @@ _T_GROWTH = 20.0
 #: default certified duality gap
 DEFAULT_GAP = 1e-6
 
-#: cap on the slope evaluations of the level search in kantorovich
+#: cap on the slope evaluations of the level search in kantorovich, and on
+#: the safeguarded Newton steps per crossing
 _LEVEL_STEPS = 200
+_CROSSING_STEPS = 60
 
 
 class DiracTruncation:
@@ -259,54 +261,58 @@ def connes_via_dual(phi, psi, gap=DEFAULT_GAP):
     return res.value, -float(np.real(np.trace(res.dual)))
 
 
-def _circle_roots_of_trig(d):
-    """Angles where the trig polynomial with coefficients d vanishes."""
-    c = np.trim_zeros(np.asarray(d, dtype=complex))
-    if c.size <= 1:
-        return np.array([])
-    roots = np.roots(c[::-1])
-    on = roots[np.abs(np.log(np.abs(roots) + 1e-300)) < 1e-7]
-    return np.sort(np.angle(on) % (2 * np.pi))
-
-
-def _cdf_difference(c):
-    """
-    Coefficients d, ascending from index -(n-1), of alpha(x) =
-    sum_k d_k e^{ikx} = (1 / 2 pi) integral from 0 to x of the circle
-    function of c, for a density difference c with c_0 = 0.
-    """
-    n = (c.size + 1) // 2
-    k = np.arange(-n + 1, n)
-    nz = k != 0
-    d = np.zeros(c.size, dtype=complex)
-    d[nz] = c[nz] / (2 * np.pi * 1j * k[nz])
-    d[n - 1] = -np.real(np.sum(d[nz]))
-    return d
-
-
-def _level_integral(d, a):
+class _LevelSets:
     """
     f(a) = integral over [0, 2 pi] of |alpha - a| and its slope
     F(a) = |{alpha < a}| - |{alpha > a}|, for alpha(x) = sum_k d_k e^{ikx}
-    with the coefficients d ascending from index -(n-1).
-
-    alpha - a keeps its sign between consecutive crossing points, so each
-    piece is integrated exactly with the antiderivative and contributes
-    its length to F with the opposite sign.
+    = (1 / 2 pi) integral from 0 to x of the density difference c (c_0 = 0,
+    both ascending from index -(n-1)).  alpha is sampled once for every
+    level, at the points of CircleLayer.pieces: it is monotone between
+    consecutive ones, so it crosses a level at most once there.
     """
-    n = (d.size + 1) // 2
-    k = np.arange(-n + 1, n)
-    g = d.astype(complex)
-    g[n - 1] -= a
-    pts = np.unique(np.clip(np.concatenate(
-        [[0.0], _circle_roots_of_trig(g), [2 * np.pi]]), 0.0, 2 * np.pi))
-    nz = k != 0
-    # integral of alpha - a from 0 to each point, all points at once
-    prim = np.real(g[n - 1]) * pts + np.real(
-        ((np.exp(1j * np.outer(pts, k[nz])) - 1.0) / (1j * k[nz])) @ g[nz])
-    pieces = np.diff(prim)
-    return (float(np.abs(pieces).sum()),
-            float(-(np.sign(pieces) * np.diff(pts)).sum()))
+
+    def __init__(self, c):
+        n, d = (c.size + 1) // 2, primitive(FRElement(c)).a / (2 * np.pi)
+        d[n - 1] = -np.real(d.sum())
+        self.n, self.d, self.lay = n, d, CircleLayer(d)
+        pts, vals = self.lay.pieces()
+        self.pts, self.vals = np.r_[pts, pts[0] + 2 * np.pi], np.r_[vals, vals[0]]
+
+    def crossings(self, a):
+        """
+        The angles where alpha = a, one between each pair of consecutive
+        points whose values straddle a, by Newton's method safeguarded by
+        bisection from the secant, until alpha - a is at rounding level.
+        """
+        above = self.vals > a
+        i = np.nonzero(above[:-1] != above[1:])[0]
+        left, right, rising = self.pts[i], self.pts[i + 1], above[i + 1]
+        v0, v1 = self.vals[i], self.vals[i + 1]
+        x = left + (right - left) * (a - v0) / (v1 - v0)
+        for _ in range(_CROSSING_STEPS):
+            v, dv = self.lay.rows(x, 2)
+            if np.all(np.abs(v - a) <= self.lay.rnd):
+                break
+            above = (v > a) == rising
+            left, right = np.where(above, left, x), np.where(above, x, right)
+            x = x - (v - a) / np.where(dv != 0, dv, np.inf)
+            x = np.where((left <= x) & (x <= right), x, (left + right) / 2)
+        return x % (2 * np.pi)
+
+    def integral(self, a):
+        """
+        (f(a), F(a)): alpha - a keeps its sign between crossings, so each
+        piece is integrated exactly with the antiderivative and adds its
+        length to F with the opposite sign.
+        """
+        k = np.arange(1, self.n)
+        pts = np.unique(np.r_[0.0, self.crossings(a), 2 * np.pi])
+        # integral of alpha - a from 0 to each point, all points at once
+        prim = (np.real(self.d[self.n - 1]) - a) * pts + 2 * np.real(
+            ((np.exp(1j * np.outer(pts, k)) - 1.0) / (1j * k)) @ self.d[self.n:])
+        pieces = np.diff(prim)
+        return (float(np.abs(pieces).sum()),
+                float(-(np.sign(pieces) * np.diff(pts)).sum()))
 
 
 def kantorovich(phi, psi, quad_tol=1e-8):
@@ -315,13 +321,13 @@ def kantorovich(phi, psi, quad_tol=1e-8):
     of two states: inf over a of f(a), the integral of |alpha(x) - a| over
     [0, 2 pi], alpha the difference of the cumulative distributions.
 
-    alpha is itself a trigonometric polynomial, so f and its slope F (see
-    _level_integral) are exact for each level a.  f is convex and F is
-    monotone, so the optimal level is a root of F, found by regula falsi
-    with the Illinois modification from the bracket d_0 -+ sum |d_k|
-    (k != 0), which contains the range of alpha; F(lo) <= 0 <= F(hi)
-    throughout.  By convexity f(lo) - min f <= |F(lo)| (hi - lo) and
-    likewise at hi, so the search stops once
+    alpha is itself a trigonometric polynomial, sampled once (see
+    _LevelSets), so f and its slope F are exact for each level a.  f is
+    convex and F is monotone, so the optimal level is a root of F, found
+    by regula falsi with the Illinois modification from the range of
+    alpha; F(lo) <= 0 <= F(hi) throughout.  By convexity
+    f(lo) - min f <= |F(lo)| (hi - lo) and likewise at hi, so the search
+    stops once
     (hi - lo) max(|F(lo)|, |F(hi)|) <= quad_tol, or once hi - lo is down to
     a few units in the last place, where the bound is at rounding level
     (so quad_tol = 0 asks for the best level the arithmetic resolves), and
@@ -330,27 +336,29 @@ def kantorovich(phi, psi, quad_tol=1e-8):
     """
     if phi.n != psi.n:
         raise ValueError("size mismatch")
-    n = phi.n
     c = (phi.density - psi.density).a
     if np.abs(c).max() < 1e-15:
         return 0.0
-    d = _cdf_difference(c)
-    # |alpha - d_0| <= sum_{k != 0} |d_k| brackets the optimal level
-    d0 = float(np.real(d[n - 1]))
-    bound = float(np.abs(d).sum()) - abs(d0)
-    lo, hi = d0 - bound, d0 + bound
-    (f_lo, F_lo), (f_hi, F_hi) = _level_integral(d, lo), _level_integral(d, hi)
-    # Illinois: the secant uses weights that halve on a retained end
+    levels = _LevelSets(c)
+    # alpha is monotone between its sample points, so they hold its range;
+    # outside it f is linear with the mean d_0 of alpha
+    lo, hi = float(levels.vals.min()), float(levels.vals.max())
+    d0 = float(np.real(levels.d[phi.n - 1]))
+    f_lo, F_lo, f_hi, F_hi = 2 * np.pi * (d0 - lo), -2 * np.pi, 2 * np.pi * (hi - d0), 2 * np.pi
+    # Illinois: the secant uses weights that halve on a retained end; the
+    # first level is the median of the samples
     w_lo, w_hi, side = F_lo, F_hi, 0
+    a = float(np.median(levels.vals))
     for _ in range(_LEVEL_STEPS):
         width = hi - lo
         if (width * max(-F_lo, F_hi) <= quad_tol
                 or width <= 4 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))):
             return min(f_lo, f_hi)
-        a = hi - w_hi * width / (w_hi - w_lo)
+        if side != 0 or not lo < a < hi:
+            a = hi - w_hi * width / (w_hi - w_lo)
         if not lo < a < hi:
             a = 0.5 * (lo + hi)
-        f_a, F_a = _level_integral(d, a)
+        f_a, F_a = levels.integral(a)
         if F_a == 0.0:
             return f_a
         if F_a < 0:

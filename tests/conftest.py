@@ -22,6 +22,32 @@ def random_positive_fr(n, rng, margin=None):
     return ts.fr_from_coeffs(coeffs)
 
 
+def boundary_density(n, rng):
+    """|q|^2 for q with simple and double roots at random circle angles and
+    the remaining roots in the disc: circle roots of multiplicity 2 and 4."""
+    simple = np.exp(1j * rng.uniform(0, 2 * np.pi, n // 8))
+    double = np.exp(1j * rng.uniform(0, 2 * np.pi, n // 16))
+    inner = n - 1 - simple.size - 2 * double.size
+    disc = rng.uniform(0.3, 0.9, inner) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, inner))
+    roots = np.concatenate([simple, double, double, disc])
+    q = np.poly(roots)[::-1]
+    q /= np.linalg.norm(q)
+    return ts.fr_from_coeffs(np.convolve(np.conj(q[::-1]), q))
+
+
+def pure_density(n, rng):
+    """The density of a pure state with n-1 random circle nodes."""
+    return ts.pure_state_from_angles(rng.uniform(0, 2 * np.pi, n - 1)).state().density
+
+
+def dense_samples(a, N=2 ** 16):
+    """The circle function of a on N equispaced angles, by one FFT."""
+    w = np.zeros(N, dtype=complex)
+    w[np.arange(-a.n + 1, a.n) % N] = a.a
+    return np.real(np.fft.ifft(w)) * N
+
+
 def random_hermitian_toeplitz(n, rng):
     half = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
     return ts.toeplitz_from_coeffs(

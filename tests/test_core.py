@@ -5,7 +5,8 @@ import toepsys as ts
 from toepsys.core import (fr_from_json, fr_to_json, toeplitz_from_json,
                           toeplitz_to_json)
 
-from conftest import random_hermitian_toeplitz, random_palindromic
+from conftest import (boundary_density, dense_samples, pure_density,
+                      random_hermitian_toeplitz, random_palindromic)
 
 
 def test_dense_layout():
@@ -93,6 +94,41 @@ def test_fr_is_positive(rng):
     assert not ts.fr_is_positive(ts.fr_from_coeffs([0.8, 1.0, 0.8]))
     with pytest.raises(ValueError):
         ts.fr_is_positive(ts.fr_from_coeffs([1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+def test_fr_is_positive_accepts_circle_roots(rng, n):
+    # circle roots of multiplicity 2 and 4, and a pure density whose n-1
+    # double roots cluster where it is below rounding; every accepted
+    # density reads >= -tol ||a||_1 on a dense grid
+    for a in (boundary_density(n, rng), pure_density(n, rng)):
+        assert ts.fr_is_positive(a)
+        assert dense_samples(a).min() >= -1e-9 * np.abs(a.a).sum()
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+@pytest.mark.parametrize("dip", [1e-7, 2e-9])
+def test_fr_is_positive_rejects_dips(rng, n, dip):
+    # lowering a density with circle roots by dip ||a||_1, past tol = 1e-9
+    for a in (boundary_density(n, rng), pure_density(n, rng)):
+        c = a.a.copy()
+        c[n - 1] -= dip * np.abs(a.a).sum()
+        assert not ts.fr_is_positive(ts.fr_from_coeffs(c))
+
+
+def test_trig_minimum_matches_dense_grid(rng):
+    # the dense grid's minimum exceeds the true one by at most
+    # max |a''| (h / 2)^2 / 2; trig_minimum is within rounding of it
+    n, N = 128, 2 ** 16
+    k = np.arange(-n + 1, n)
+    for a in (random_palindromic(n, rng), boundary_density(n, rng)):
+        m, theta = ts.trig_minimum(a)
+        norm = np.abs(a.a).sum()
+        grid = dense_samples(a, N).min()
+        curvature = np.abs(k ** 2 * a.a).sum()
+        assert m <= grid + 1e-10 * norm
+        assert m >= grid - curvature * (2 * np.pi / N) ** 2 / 8 - 1e-10 * norm
+        assert np.real(a(theta)) == pytest.approx(m, abs=1e-10 * norm)
 
 
 def test_extreme_ray_properties(rng):

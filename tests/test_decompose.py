@@ -25,6 +25,29 @@ def test_kernel_roots_two_rays():
     assert np.allclose(got, [0.7, 2.1], atol=1e-8)
 
 
+def _cyclic_deviation(nodes, angles):
+    got = np.sort(np.angle(nodes) % (2 * np.pi))
+    want = np.sort(np.asarray(angles) % (2 * np.pi))
+    assert got.size == want.size
+    return np.abs((got - want + np.pi) % (2 * np.pi) - np.pi).max()
+
+
+def test_kernel_roots_large_n_separated(rng):
+    n = 128
+    r = n // 2
+    angles = 2 * np.pi * (np.arange(r) + rng.uniform(0, 0.5, r)) / r
+    T = rays_toeplitz(n, angles, rng.uniform(0.2, 2.0, r))
+    assert _cyclic_deviation(ts.kernel_roots(T), angles) <= 1e-8
+
+
+def test_kernel_roots_close_pair(rng):
+    # two nodes 1e-3 apart stay two nodes, also across angle zero
+    n = 128
+    for angles in ([1.0, 1.001, 3.0], [2 * np.pi - 5e-4, 5e-4, 2.5, 4.0]):
+        T = rays_toeplitz(n, angles, rng.uniform(0.2, 2.0, len(angles)))
+        assert _cyclic_deviation(ts.kernel_roots(T), angles) <= 1e-8
+
+
 def test_kernel_roots_nonsingular_rejected():
     T = ts.compress_symbol({0: 1.0}, 3)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 import toepsys as ts
 from toepsys.factor import _shift_indices, _square_and_jacobian, laurent_roots
 
-from conftest import random_positive_fr
+from conftest import boundary_density, random_positive_fr
 
 
 def test_one_plus_cos():
@@ -86,20 +86,6 @@ def test_jacobian_matches_central_differences(rng):
             cols.append(np.concatenate([bs.real, bs.imag]))
         fd[:, j] = (cols[0] - cols[1]) / (2 * h)
     assert np.abs(J - fd).max() <= 1e-7 * np.abs(J).max()
-
-
-def boundary_density(n, rng):
-    """|q|^2 for q with simple and double roots at random circle angles and
-    the remaining roots in the disc: circle roots of multiplicity 2 and 4."""
-    simple = np.exp(1j * rng.uniform(0, 2 * np.pi, n // 8))
-    double = np.exp(1j * rng.uniform(0, 2 * np.pi, n // 16))
-    inner = n - 1 - simple.size - 2 * double.size
-    disc = rng.uniform(0.3, 0.9, inner) * np.exp(
-        1j * rng.uniform(0, 2 * np.pi, inner))
-    roots = np.concatenate([simple, double, double, disc])
-    q = np.poly(roots)[::-1]
-    q /= np.linalg.norm(q)
-    return ts.fr_from_coeffs(np.convolve(np.conj(q[::-1]), q))
 
 
 @pytest.mark.parametrize("n", [64, 128])

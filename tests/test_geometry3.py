@@ -23,6 +23,18 @@ def test_gamma_curve_is_extreme_ray():
         assert np.allclose(A, B)
 
 
+def test_cone_coordinates_round_trip(rng):
+    for _ in range(50):
+        p = g3.ConeCoords(*rng.uniform(-2, 2, 5))
+        T = p.toeplitz()
+        assert g3.cone_from_toeplitz(T).as_tuple() == p.as_tuple()
+        assert np.array_equal(g3.cone_from_toeplitz(T).toeplitz().t, T.t)
+    with pytest.raises(ValueError):
+        g3.cone_from_toeplitz(ts.compress_symbol({0: 1.0}, 4))
+    with pytest.raises(ValueError):
+        g3.cone_from_toeplitz(ts.toeplitz_from_coeffs([1, 2j, 3, 4, 5]))
+
+
 def test_delta_is_determinant(rng):
     for _ in range(200):
         p = g3.ConeCoords(*rng.uniform(-2, 2, 4))
