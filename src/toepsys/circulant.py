@@ -91,10 +91,7 @@ def complete_toeplitz(T, m):
     if m < 2 * n - 1:
         raise ValueError("need m >= 2n-1 = %d, got m = %d" % (2 * n - 1, m))
     c = np.zeros(m, dtype=complex)
-    for k in range(n):
-        c[k] = T.coeff(k)
-    for k in range(1, n):
-        c[m - k] = T.coeff(-k)
+    c[:n], c[m - n + 1:] = T.t[n - 1:], T.t[:n - 1]
     return CirculantMatrix(c)
 
 
@@ -102,11 +99,7 @@ def compress_circulant(C, n):
     """The Toeplitz compression P_n C P_n (upper-left n x n corner)."""
     if n > C.m:
         raise ValueError("compression size %d exceeds circulant size %d" % (n, C.m))
-    t = np.zeros(2 * n - 1, dtype=complex)
-    for k in range(n):
-        t[n - 1 + k] = C.c[k % C.m]
-        t[n - 1 - k] = C.c[(-k) % C.m]
-    return ToeplitzMatrix(t)
+    return ToeplitzMatrix(C.c[np.arange(-n + 1, n) % C.m])
 
 
 def tensor_map_rank(n):

@@ -40,7 +40,8 @@ def _format(value):
 
 
 def _emit(obj, out):
-    text = _format(obj) + "\n"
+    """Write obj, or text as it is, to the file ``out`` or to stdout."""
+    text = obj if isinstance(obj, str) else _format(obj) + "\n"
     if out and out != "-":
         with open(out, "w") as fh:
             fh.write(text)
@@ -171,12 +172,7 @@ def _cmd_geometry3(args):
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join("%.17g" % v for v in row))
-        text = "\n".join(lines) + "\n"
-        if args.out and args.out != "-":
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", args.out)
         return 0
     checks = geometry3.run_checks(seed=args.seed)
     _emit(checks, args.out)

@@ -89,7 +89,9 @@ def _square_and_jacobian(q, ia, ib):
     qz = np.append(q, 0.0)
     A, B = np.conj(qz[ia]), qz[ib]
     S, D = A + B, 1j * (A - B)
-    return A @ q, np.block([[S.real, D.real], [S.imag, D.imag]])
+    J = np.empty((2, ia.shape[0], 2, q.size))
+    J[0, :, 0], J[0, :, 1], J[1, :, 0], J[1, :, 1] = S.real, D.real, S.imag, D.imag
+    return A @ q, J.reshape(2 * ia.shape[0], 2 * q.size)
 
 
 def _polish(q, a):
@@ -128,7 +130,9 @@ def _polish(q, a):
     mu_min = 1e-15 * float(H.diagonal().max())
     mu = 1e9 * mu_min
     for _ in range(_POLISH_STEPS):
-        dx = np.linalg.solve(H + mu * np.eye(2 * m), -g)
+        Hmu = H.copy()
+        Hmu.flat[::2 * m + 1] += mu
+        dx = np.linalg.solve(Hmu, -g)
         if np.linalg.norm(dx) <= 1e-16 * np.linalg.norm(x):
             break
         xn = x + dx

@@ -325,9 +325,7 @@ def run_checks(samples=1000, seed=42):
     # extreme states are exactly the vector states with nodes (x, y)
     from .states import pure_state_from_angles
     bridge = 0.0
-    basis = [ConeCoords(1, 0, 0, 0, 0), ConeCoords(0, 1, 0, 0, 0),
-             ConeCoords(0, 0, 1, 0, 0), ConeCoords(0, 0, 0, 1, 0),
-             ConeCoords(0, 0, 0, 0, 1)]
+    basis = [ConeCoords(*row) for row in np.eye(5)]
     for x, y in zip(xs[:100], ys[:100]):
         e = epsilon_state(x, y)
         xi = pure_state_from_angles([x, y]).xi

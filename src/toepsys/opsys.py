@@ -21,51 +21,46 @@ RANK_TOL = 1e-9
 
 
 class MatrixSystem:
-    """A spanning set of N x N matrices for a self-adjoint unital subspace."""
+    """A self-adjoint unital subspace of the N x N matrices, from a spanning
+    set, kept as ``span``: orthonormal rows (flattened) that span it."""
 
     def __init__(self, basis):
-        self.basis = [np.asarray(B, dtype=complex) for B in basis]
-        if not self.basis:
+        basis = [np.asarray(B, dtype=complex) for B in basis]
+        if not basis:
             raise ValueError("empty system")
-        self.N = self.basis[0].shape[0]
-        for B in self.basis:
+        self.N = basis[0].shape[0]
+        for B in basis:
             if B.shape != (self.N, self.N):
                 raise ValueError("basis matrices must share one square shape")
-        self._check_selfadjoint_unital()
-
-    def _check_selfadjoint_unital(self):
-        flat = np.array([B.ravel() for B in self.basis])
-        adj = np.array([B.conj().T.ravel() for B in self.basis])
-        eye = np.eye(self.N, dtype=complex).ravel()
-        d = np.linalg.matrix_rank(flat, tol=None)
-        if np.linalg.matrix_rank(np.vstack([flat, adj])) != d:
-            raise ValueError("span is not self-adjoint")
-        if np.linalg.matrix_rank(np.vstack([flat, eye[None, :]])) != d:
-            raise ValueError("span does not contain the identity")
+        _, s, vh = np.linalg.svd(np.array([B.ravel() for B in basis]),
+                                 full_matrices=False)
+        self.span = vh[s > RANK_TOL * s[0]]
+        adj = np.array([B.conj().T.ravel() for B in basis])
+        eye = np.eye(self.N, dtype=complex).reshape(1, -1)
+        for rows, msg in ((adj, "span is not self-adjoint"),
+                          (eye, "span does not contain the identity")):
+            R, tol = _off_span(rows, self.span)
+            if np.linalg.norm(R) > tol:
+                raise ValueError(msg)
 
 
 def toeplitz_system(n):
     """The n x n Toeplitz matrices as a system, spanned by the 2n-1 diagonals."""
-    basis = []
-    for j in range(-n + 1, n):
-        t = np.zeros(2 * n - 1, dtype=complex)
-        t[j + n - 1] = 1.0
-        basis.append(ToeplitzMatrix(t).dense())
-    return MatrixSystem(basis)
+    return MatrixSystem([ToeplitzMatrix(e).dense() for e in np.eye(2 * n - 1)])
 
 
 def circulant_system(m):
     """The m x m circulants, spanned by the powers of the cyclic shift."""
-    S = np.zeros((m, m))
-    S[np.arange(m), (np.arange(m) - 1) % m] = 1.0
-    return MatrixSystem([np.linalg.matrix_power(S, k) for k in range(m)])
+    return MatrixSystem([np.roll(np.eye(m), k, axis=0) for k in range(m)])
 
 
-def _orthonormal_span(vectors):
-    """Orthonormal rows spanning the same space, via singular vectors."""
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    keep = s > RANK_TOL * (s[0] if s.size else 1.0)
-    return vh[keep]
+def _off_span(P, Q):
+    """
+    The part R of the rows of P off the span of the orthonormal rows Q, and
+    the threshold RANK_TOL max(1, ||P||_F) at or below which ||R||_F, a
+    bound on every singular value of R, adds no direction.
+    """
+    return P - (P @ Q.conj().T) @ Q, RANK_TOL * max(1.0, np.linalg.norm(P))
 
 
 def _chain(sys, k_max):
@@ -78,15 +73,13 @@ def _chain(sys, k_max):
     the directions new at step k, only those are multiplied by the basis.
     """
     N = sys.N
-    Q = _orthonormal_span(np.array([B.ravel() for B in sys.basis]))
+    Q = sys.span
     basis = Q.reshape(-1, N, N)
     chain = [Q]
     new = Q
     while len(chain) < k_max and Q.shape[0] < N * N:
         P = np.matmul(new.reshape(-1, 1, N, N), basis).reshape(-1, N * N)
-        R = P - (P @ Q.conj().T) @ Q
-        tol = RANK_TOL * max(1.0, np.linalg.norm(P))
-        # ||R||_F bounds every singular value, so a small R adds no direction
+        R, tol = _off_span(P, Q)
         if np.linalg.norm(R) <= tol:
             break
         _, s, vh = np.linalg.svd(R, full_matrices=False)

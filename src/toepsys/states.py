@@ -143,13 +143,18 @@ def _paired_nodes(roots):
 def _node_density(theta, log_s, phi):
     """
     Values on the angles ``phi`` of the pure density with nodes ``theta``,
-    s prod_j |e^{i phi} - e^{i theta_j}|^2, with its log factors and the
-    angle differences that the Jacobian reuses.
+    s prod_j |e^{i phi} - e^{i theta_j}|^2, with the sum of its log factors
+    and the half angle differences that the Jacobian reuses.
     """
-    x = phi[:, None] - theta
-    lg = np.log(np.maximum(4.0 * np.sin(x / 2) ** 2, 1e-300))
-    total = lg.sum(axis=1)
-    return np.exp(log_s + total), lg, total, x
+    h = (phi[:, None] - theta) / 2
+    total = np.log(np.maximum(4.0 * np.sin(h) ** 2, 1e-300)).sum(axis=1)
+    return np.exp(log_s + total), total, h
+
+
+def _node_jacobian(vals, h):
+    """Jacobian of ``vals`` in (theta, log s), as in ``_fits_pure``."""
+    t = np.tan(h)
+    return np.column_stack([np.divide(-vals[:, None], t, out=np.zeros_like(t), where=t != 0), vals])
 
 
 def _fits_pure(a, theta, tol):
@@ -161,13 +166,14 @@ def _fits_pure(a, theta, tol):
     The fit is sampled on 2n equispaced angles, which determine a
     trigonometric polynomial of degree n-1: the l2 norm of the residual on
     them is sqrt(2n) times its coefficient l2 norm, and the FFT gives the
-    coefficients of the fit exactly.  The
-    damping follows Nielsen (scaled by diag(J^T J)): after a step with gain
-    ratio rho, mu shrinks by max(1/3, 1 - (2 rho - 1)^3); after a rejected
-    step it grows by nu, which doubles.  The fit gives up after
-    _NODE_FIT_TRIALS steps, when the certified residual falls by less than
-    a tenth over _NODE_FIT_WINDOW steps, or when mu passes 1e16 and no step
-    lowers the residual.
+    coefficients of the fit exactly.  The Jacobian column of node j is
+    d vals / d theta_j = -vals cot((phi - theta_j) / 2), one tangent per
+    entry; a sample on a node, a double zero, gets 0.  The damping follows
+    Nielsen (scaled by diag(J^T J)): after a step with gain ratio rho, mu
+    shrinks by max(1/3, 1 - (2 rho - 1)^3); after a rejected step it grows
+    by nu, which doubles.  The fit gives up after _NODE_FIT_TRIALS steps,
+    when the certified residual falls by less than a tenth over
+    _NODE_FIT_WINDOW steps, or when mu passes 1e16 and no step lowers it.
     """
     n = (a.size + 1) // 2
     L = 2 * n
@@ -178,7 +184,7 @@ def _fits_pure(a, theta, tol):
     target = np.real(np.fft.ifft(w)) * L
     bound = tol * np.abs(a).sum()
     # each factor is at most 4, so this scale cannot overflow
-    _, lg, total, x = _node_density(theta, -(n - 1) * np.log(4.0), phi)
+    _, total, h = _node_density(theta, -(n - 1) * np.log(4.0), phi)
     top = total.max()
     v = np.exp(total - top)
     log_s = np.log(max(target @ v, 1e-300) / (v @ v)) - top
@@ -190,7 +196,7 @@ def _fits_pure(a, theta, tol):
             res = np.abs(np.fft.fft(vals)[k] / L - a).sum()
             if res <= bound:
                 return True
-            J = np.column_stack([-np.exp(log_s + total[:, None] - lg) * 2 * np.sin(x), vals])
+            J = _node_jacobian(vals, h)
             H, g = J.T @ J, J.T @ r
             D = np.maximum(H.diagonal(), 1e-15 * H.diagonal().max())
         if trial % _NODE_FIT_WINDOW == 0:
@@ -198,7 +204,7 @@ def _fits_pure(a, theta, tol):
                 return False
             check = res
         d = np.linalg.solve(H + mu * np.diag(D), -g)
-        vn, lgn, totn, xn = _node_density(theta + d[:-1], log_s + d[-1], phi)
+        vn, _, hn = _node_density(theta + d[:-1], log_s + d[-1], phi)
         rn = vn - target
         gain = r @ r - rn @ rn
         pred = -(2 * g @ d + d @ H @ d)
@@ -206,7 +212,7 @@ def _fits_pure(a, theta, tol):
         if changed:
             rho = gain / pred
             theta, log_s = theta + d[:-1], log_s + d[-1]
-            vals, lg, total, x, r = vn, lgn, totn, xn, rn
+            vals, h, r = vn, hn, rn
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
         elif mu > 1e16:

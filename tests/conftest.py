@@ -62,6 +62,14 @@ def separated_angles(r, rng, gap=0.1):
             return a
 
 
+def slotted_angles(r, rng):
+    """r angles, one per slot of width 2 pi / r, at least min(0.1, pi / 2r)
+    apart."""
+    width = 2 * np.pi / r
+    gap = min(0.1, np.pi / (2 * r))
+    return np.sort(np.arange(r) * width + rng.uniform(0, width - gap, r))
+
+
 def rays_toeplitz(n, angles, weights):
     T = ts.toeplitz_from_coeffs(np.zeros(2 * n - 1, dtype=complex))
     for a, w in zip(angles, weights):

@@ -4,7 +4,7 @@ import pytest
 import toepsys as ts
 
 from conftest import (random_positive_toeplitz, rays_toeplitz,
-                      separated_angles)
+                      separated_angles, slotted_angles)
 
 
 def test_reconstruct_single_ray():
@@ -87,6 +87,29 @@ def test_decompose_full_rank_reconstructs(rng):
         vd = ts.vandermonde_decompose(T)
         err = np.abs(ts.reconstruct(vd, n).t - T.t).max()
         assert err <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_decompose_full_rank_stops_at_rounding(n, monkeypatch):
+    # n + 3 resolvable rays: the residual of the peeled remainder reaches
+    # rounding within a step or two, and Gauss-Newton stops there; two
+    # lstsq calls go to the subspace nodes and the starting weights
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        T = rays_toeplitz(n, slotted_angles(n + 3, rng), rng.uniform(0.2, 2.0, n + 3))
+        calls.clear()
+        vd = ts.vandermonde_decompose(T)
+        assert len(calls) <= 6
+        err = np.abs(ts.reconstruct(vd, n).t - T.t).max()
+        assert err <= 1e-10 * ts.operator_norm(T)
 
 
 def test_decompose_rejects_nonpositive():

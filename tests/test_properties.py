@@ -4,7 +4,7 @@ import pytest
 
 import toepsys as ts
 
-from conftest import random_positive_fr, random_state
+from conftest import random_positive_fr, random_state, slotted_angles
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -29,14 +29,6 @@ def test_kantorovich_symmetry_property(seed, n):
     quad_tol = 1e-8
     assert abs(ts.kantorovich(phi, psi, quad_tol)
                - ts.kantorovich(psi, phi, quad_tol)) <= 2 * quad_tol
-
-
-def slotted_angles(r, rng):
-    """r angles, one per slot of width 2 pi / r, at least min(0.1, pi / 2r)
-    apart."""
-    width = 2 * np.pi / r
-    gap = min(0.1, np.pi / (2 * r))
-    return np.sort(np.arange(r) * width + rng.uniform(0, width - gap, r))
 
 
 def rays(angles, weights, n):
@@ -76,3 +68,20 @@ def test_decompose_rotation_equivariance_property(seed, n, phi):
     match = np.argmin(dist, axis=1)
     assert dist.min(axis=1).max() <= 1e-7
     assert np.allclose(vd.weights, vd_phi.weights[match], atol=1e-7)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8))
+def test_connes_distance_metric_properties(seed, n):
+    # each value lies within gap of the distance: symmetry within 2 gap,
+    # the triangle inequality within 3 gap, and kantorovich, which the
+    # distance dominates, within gap plus its own quad_tol
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_state(n, rng) for _ in range(3))
+    gap, quad_tol = 1e-6, 1e-8
+    ab, ba, ac, cb = (ts.connes_distance(x, y, gap) for x, y in
+                      ((a, b), (b, a), (a, c), (c, b)))
+    assert all(r.converged for r in (ab, ba, ac, cb))
+    assert abs(ab.value - ba.value) <= 2 * gap
+    assert ab.value <= ac.value + cb.value + 3 * gap
+    assert ts.kantorovich(a, b, quad_tol) <= ab.value + gap + quad_tol

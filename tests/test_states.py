@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import toepsys as ts
+from toepsys.states import _node_density, _node_jacobian
 
 from conftest import random_hermitian_toeplitz, random_state
 
@@ -109,6 +110,36 @@ def test_is_pure_is_a_backward_error():
     off = ts.vector_state(np.poly((1 - 1e-2) * np.exp(1j * angles))[::-1])
     assert not ts.is_pure(off)
     assert ts.is_pure(off, tol=1e-2)
+
+
+def test_node_jacobian_matches_central_differences():
+    n = 8
+    L = 2 * n
+    phi = 2 * np.pi * np.arange(L) / L
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(0, 2 * np.pi, n - 1)
+    theta[0] = phi[3]  # a node on a sample: a double zero there
+    log_s = -0.3
+    vals, _, h = _node_density(theta, log_s, phi)
+    J = _node_jacobian(vals, h)
+    assert np.all(np.isfinite(J)) and J[3, 0] == 0.0
+    x, eps = np.append(theta, log_s), 1e-6
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        up = _node_density((x + e)[:-1], (x + e)[-1], phi)[0]
+        down = _node_density((x - e)[:-1], (x - e)[-1], phi)[0]
+        assert np.allclose(J[:, j], (up - down) / (2 * eps),
+                           rtol=1e-6, atol=1e-8 * np.abs(vals).max())
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_is_pure_pure_and_mixed(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        s = ts.pure_state_from_angles(rng.uniform(0, 2 * np.pi, n - 1)).state()
+        assert ts.is_pure(s)
+        assert not ts.is_pure(random_state(n, rng))
 
 
 def test_pure_states_nonnegative_on_rays(rng):
