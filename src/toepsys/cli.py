@@ -123,8 +123,9 @@ def _cmd_distance(args):
                                  >= kant - (args.gap + args.quad_tol))},
           args.out)
     if not res.converged:
-        return _fail("connes_distance did not converge within its Newton "
-                     "step cap", lower=res.lower, upper=res.upper)
+        return _fail("connes_distance did not converge within its "
+                     "interior-point iteration cap", lower=res.lower,
+                     upper=res.upper)
     return 0
 
 

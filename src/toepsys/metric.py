@@ -5,21 +5,22 @@ The distance between two states is the supremum of their difference over
 hermitian Toeplitz matrices A with ``|| i[D, A] || <= 1``, where D is the
 diagonal Dirac truncation.  The supremum is a linear objective over a
 spectral-norm ball, the Toeplitz linear matrix inequality -I <= B(x) <= I,
-solved here as a semidefinite program by a log-barrier Newton method whose
-feasible iterates give certified lower bounds and whose dual matrices give
-certified upper bounds by weak duality.  A dual route through primitives of
-the density difference and the Kantorovich transport distance are provided
-for comparison.
+solved here as a semidefinite program by a primal-dual interior-point
+method whose feasible iterates give certified lower bounds and whose dual
+matrices give certified upper bounds by weak duality.  A dual route through
+primitives of the density difference and the Kantorovich transport
+distance are provided for comparison.
 """
 
 import numpy as np
 
 from .core import CircleLayer, FRElement, ToeplitzMatrix
 
-#: hard cap on the number of Newton steps per solve
-MAX_NEWTON = 500
-#: growth of the barrier weight t after each centering
-_T_GROWTH = 20.0
+#: hard cap on the interior-point iterations per solve
+MAX_ITERATIONS = 100
+#: fraction of the step to the boundary of the cone, and the step length
+#: below which the iterates count as stalled
+_TAU, _MIN_STEP = 0.98, 1e-8
 
 #: default certified duality gap
 DEFAULT_GAP = 1e-6
@@ -54,7 +55,7 @@ class ConvexProgramResult:
     optimizer : ToeplitzMatrix
         A feasible hermitian matrix attaining ``value``.
     iterations : int
-        Number of Newton steps taken.
+        Number of interior-point iterations taken.
     converged : bool
     dual : ndarray
         Dense hermitian W with tr(W G_i) = objective_i on every constraint
@@ -105,91 +106,107 @@ def primitive(b):
     return FRElement(out)
 
 
-def _barrier_sdp(c, G, gap):
+def _interior_point(c, g, gap):
     """
-    Maximize c . x over ||B(x)|| <= 1, B(x) = sum_i x_i G_i, the hermitian
-    G_i stacked in an (m, N, N) array, by a log-barrier Newton method on
-    -I < B(x) < I (Boyd & Vandenberghe, Convex Optimization, 11.3).
+    Maximize c . x over ||B(x)|| <= 1, B(x) = sum_i x_i G_i with G_i the
+    hermitian N x N Toeplitz matrix whose ascending coefficients are column
+    i of g, and min tr X+ + tr X- over X+- >= 0 with tr((X+ - X-) G_i) = c_i,
+    its dual, by a feasible primal-dual interior-point method on
+    Z+- = I -+ B(x): the HKM direction (Helmberg, Rendl, Vanderbei &
+    Wolkowicz, SIAM J. Optim. 6, 1996) with Mehrotra's predictor-corrector,
+    both solves on one Cholesky factor of the Schur matrix.
 
-    Each centered point certifies both bounds.  Lower: c . x at the feasible
-    x / max(1, ||B(x)||).  Upper: ||W||_* >= tr(W B(x)) = c . x for feasible
-    x when tr(W G_i) = c_i, which the dual point of the Newton step dx,
-    W = (P - Q + P B(dx) P + Q B(dx) Q) / t with P = (I - B)^-1 and
-    Q = (I + B)^-1, meets up to rounding that a Gram projection removes.
-    Returns (lower, upper, x, W, newton_steps, converged).
+    The Schur matrix M_ij = sum over +- of Re tr(G_i X G_j Z^-1) is
+    Re g^T K g, K[k, l] = tr(S_k X S_l Z^-1) for the shifts S_k (ones on
+    diagonal k), summed over +-.  K[k, l] = C[-l, k] for the correlation
+    C[a, b] = sum conj(X[p, q]) Z^-1[p + a, q + b] (Alkire & Vandenberghe,
+    Math. Program. 93, 2002): with rows at stride 2N - 1, C[a, b] is the
+    1-D correlation at lag a (2N - 1) + b, one FFT of length >= (2N - 1)^2.
+
+    Every iterate certifies both bounds.  Lower: c . x at the feasible
+    x / max(1, ||B(x)||).  Upper: ||W||_* >= tr(W B(x)) = c . x for every
+    feasible x when tr(W G_i) = c_i, which W = X+ - X- meets up to rounding
+    that a Gram projection removes.  A failed Cholesky factor, collapsed
+    steps or MAX_ITERATIONS end the solve with the best bounds so far.
+    Returns (lower, upper, x, W, iterations, converged).
     """
-    m, N = G.shape[:2]
+    N, m = (g.shape[0] + 1) // 2, g.shape[1]
     if not np.any(c):
         return 0.0, 0.0, np.zeros(m), np.zeros((N, N), dtype=complex), 0, True
-    # vec B(v) = v @ Gv, tr(X G_i) = GT[i] . vec(X), gram_ij = tr(G_i G_j)
-    Gv, GT = G.reshape(m, -1), G.transpose(0, 2, 1).reshape(m, -1)
-    gram = np.real(Gv @ GT.T)
-    eye, pm = np.eye(N), np.array([1.0, -1.0])[:, None, None]
+    k = np.arange(-N + 1, N)
+    idx = np.subtract.outer(np.arange(N), np.arange(N)) + N - 1
+    lags = idx.T.ravel()
+    L = 1 << ((2 * N - 1) ** 2 - 1).bit_length()
+    kk = (k[None, :] - (2 * N - 1) * k[:, None]) % L
+    P = np.zeros((4, L), dtype=complex)
+    rows = P[:, :N * (2 * N - 1)].reshape(4, N, 2 * N - 1)
+    # each coordinate owns one pair of diagonals, and Re and Im on a pair
+    # are orthogonal: the Gram matrix tr(G_i G_j) is diagonal
+    gram = np.real(((N - np.abs(k))[:, None] * g * g[::-1]).sum(0))
+    sgn, eye = np.array([1.0, -1.0])[:, None, None], np.eye(N)
 
-    def dual_bound(W):
+    def toeplitz(v):
+        return (g @ v)[idx]
+
+    def adjoint(W):
+        # tr(W G_i) = sum over r, s of W[r, s] g_i[s - r]
+        return (np.bincount(lags, W.real.ravel(), 2 * N - 1) @ g.real
+                - np.bincount(lags, W.imag.ravel(), 2 * N - 1) @ g.imag)
+
+    def project(W):
         W = (W + W.conj().T) / 2.0
-        y = np.linalg.solve(gram, c - np.real(GT @ W.ravel()))
-        W = W + (y @ Gv).reshape(N, N)
-        return float(np.abs(np.linalg.eigvalsh(W)).sum()), W
+        return W + toeplitz((c - adjoint(W)) / gram)
 
-    def slack(x):
-        # I -+ B(x) and their total log det; Cholesky fails off the interior
-        S = eye - pm * (x @ Gv).reshape(N, N)
-        L = np.linalg.cholesky(S)
-        return S, 2.0 * np.log(np.real(np.diagonal(L, axis1=1, axis2=2))).sum()
+    def direction(R, rhs):
+        # the HKM step towards X Z = R Z: M dx = rhs = c - A(R), dZ = -A*(dx)
+        dx = Lm.T @ (Lm @ rhs)
+        dZ = -sgn * toeplitz(dx)
+        dX = R - X - X @ dZ @ Y
+        dX = (dX + dX.conj().transpose(0, 2, 1)) / 2.0
+        # _TAU of the steps to the boundary, from the spectra of L^-1 dS L^-H
+        lmin = np.linalg.eigvalsh(Li @ np.concatenate([dX, dZ]) @ LiH)[:, 0]
+        ap, ad = np.minimum(1.0, -_TAU / np.minimum(lmin.reshape(2, 2).min(1), -_TAU))
+        return dx, dX, dZ, ap, ad
 
-    x = np.zeros(m)
-    lower, best_x = 0.0, x
-    upper, best_W = dual_bound(np.zeros((N, N), dtype=complex))
-    t = 2.0 * N / upper  # the central path's duality gap is 2N / t
-    S, logdet = slack(x)
-    steps, last_gap, stalled = 0, np.inf, False
-    while upper - lower > gap:
-        PQ = np.linalg.inv(S)
-        PG = PQ[:, None] @ G
-        tr = np.real(np.trace(PG, axis1=2, axis2=3))
-        # H_ij = Re tr(P G_i P G_j) + Re tr(Q G_i Q G_j), one GEMM
-        hess = np.real(PG.transpose(1, 0, 2, 3).reshape(m, -1)
-                       @ PG.transpose(1, 0, 3, 2).reshape(m, -1).T)
-        grad = tr[0] - tr[1] - t * c
-        dx = -np.linalg.solve(hess, grad)
-        f = -t * float(c @ x) - logdet
-        # half the squared Newton decrement bounds the centering error;
-        # below the rounding of f (~1e-14 |f|) backtracking sees only noise
-        if (stalled or steps == MAX_NEWTON
-                or -float(grad @ dx) / 2.0 <= max(1e-8, 1e-14 * abs(f))):
-            feas = x / max(1.0, 1.0 - float(np.linalg.eigvalsh(S).min()))
-            lb = float(c @ feas)
-            if lb > lower:
-                lower, best_x = lb, feas
-            dB = (dx @ Gv).reshape(N, N)
-            P, Q = PQ
-            ub, W = dual_bound((P - Q + P @ dB @ P + Q @ dB @ Q) / t)
-            if ub < upper:
-                upper, best_W = ub, W
-            # stop when converged, stuck or out of steps, or when the gap
-            # at the centered point grew: I -+ B are then too ill-conditioned
-            if (upper - lower <= gap or stalled or steps == MAX_NEWTON
-                    or ub - lb > last_gap):
-                break
-            last_gap = ub - lb
-            t *= _T_GROWTH
-            grad = tr[0] - tr[1] - t * c
-            dx = -np.linalg.solve(hess, grad)
-            f = -t * float(c @ x) - logdet
-        step, stalled, slope = 1.0, True, 0.25 * float(grad @ dx)
-        for _ in range(60):
-            try:
-                Sn, ldn = slack(x + step * dx)
-            except np.linalg.LinAlgError:
-                step /= 2.0
-                continue
-            if -t * float(c @ (x + step * dx)) - ldn <= f + step * slope:
-                x, S, logdet, stalled = x + step * dx, Sn, ldn, False
-                break
-            step /= 2.0
-        steps += 1
-    return lower, upper, best_x, best_W, steps, bool(upper - lower <= gap)
+    # x = 0, Z = I and X+- = W+- + delta I for the two parts of the
+    # projected W: X+ - X- = W keeps tr((X+ - X-) G_i) = c_i
+    W = project(np.zeros((N, N), dtype=complex))
+    lam, V = np.linalg.eigh(W)
+    X = (V * np.maximum(sgn[:, 0] * lam, 0.0)[:, None]) @ V.conj().T
+    X, x = X + np.abs(lam).max() * eye, np.zeros(m)
+    Z = eye - sgn * toeplitz(x)
+    lower, best_x, upper, best_W, its = 0.0, x, float(np.abs(lam).sum()), W, 0
+    while upper - lower > gap and its < MAX_ITERATIONS:
+        its += 1
+        try:
+            Li = np.linalg.inv(np.linalg.cholesky(np.concatenate([X, Z])))
+            LiH = Li.conj().transpose(0, 2, 1)
+            Y = LiH[2:] @ Li[2:]
+            rows[:, :, :N] = np.concatenate([X, Y])
+            F = np.fft.fft(P)
+            C = np.fft.ifft(np.conj(F[0]) * F[2] + np.conj(F[1]) * F[3])
+            Lm = np.linalg.inv(np.linalg.cholesky(np.real(g.T @ C[kk] @ g)))
+        except np.linalg.LinAlgError:
+            break
+        mu = np.real(np.vdot(Z, X)) / (2 * N)
+        _, dXa, dZa, ap, ad = direction(0.0, c)
+        mu_aff = np.real(np.vdot(Z + ad * dZa, X + ap * dXa)) / (2 * N)
+        R = min(1.0, mu_aff / mu) ** 3 * mu * Y - dXa @ dZa @ Y
+        dx, dX, _, ap, ad = direction(R, c - adjoint(R[0] - R[1]))
+        if max(ap, ad) < _MIN_STEP:
+            break
+        X, x = X + ap * dX, x + ad * dx
+        Bx = toeplitz(x)
+        Z = eye - sgn * Bx
+        W = project(X[0] - X[1])
+        lam = np.linalg.eigvalsh(np.stack([Bx, W]))
+        feas = x / max(1.0, float(np.abs(lam[0]).max()))
+        lb, ub = float(c @ feas), float(np.abs(lam[1]).sum())
+        if lb > lower:
+            lower, best_x = lb, feas
+        if ub < upper:
+            upper, best_W = ub, W
+    return lower, upper, best_x, best_W, its, bool(upper - lower <= gap)
 
 
 def _toeplitz_program(b, with_t0, derived, gap):
@@ -207,10 +224,9 @@ def _toeplitz_program(b, with_t0, derived, gap):
     E[n - 1 + j, 2 * j - 1] = E[n - 1 - j, 2 * j - 1] = 1.0
     E[n - 1 + j, 2 * j], E[n - 1 - j, 2 * j] = 1j, -1j
     E = E if with_t0 else E[:, 1:]
-    scale = 1j * np.arange(-n + 1, n) if derived else 1.0
-    # dense M[r, s] = t[r - s] of each coordinate's (derived) matrix
-    G = (E.T * scale)[:, np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
-    lo, up, x, W, its, conv = _barrier_sdp(np.real(b.a[::-1] @ E), G, gap)
+    # column i of g is the coefficient sequence of the matrix G_i
+    g = 1j * np.arange(-n + 1, n)[:, None] * E if derived else E
+    lo, up, x, W, its, conv = _interior_point(np.real(b.a[::-1] @ E), g, gap)
     return ConvexProgramResult(lo, lo, up, ToeplitzMatrix(E @ x), its, conv, W)
 
 

@@ -108,14 +108,16 @@ def pure_state_from_angles(angles):
 
     The vector is (1, e_1, e_2, ..., e_{n-1}) normalized, where e_k is the
     k-th elementary symmetric polynomial of the unit numbers e^{i angle}.
-    Invariant under permutations of the angles.
+    Invariant under permutations of the angles.  prod (1 + e^{i angle} z) =
+    sum e_k z^k is sampled on M >= 2n roots of unity, and one FFT of the
+    samples gives its coefficients to rounding of the samples' size, which
+    sequential products exceed on many nodes.
     """
     angles = np.asarray(angles, dtype=float).ravel()
-    lam = np.exp(1j * angles)
-    # np.poly gives prod (z - lam_k) = sum (-1)^k e_k z^{deg-k}
-    coeffs = np.poly(lam) if lam.size else np.array([1.0 + 0j])
-    signs = (-1.0) ** np.arange(coeffs.size)
-    xi = signs * coeffs
+    M = 1 << (2 * angles.size + 1).bit_length()
+    roots = np.exp(2j * np.pi / M * np.arange(M))
+    xi = np.fft.fft(np.prod(1.0 + roots[:, None] * np.exp(1j * angles),
+                            axis=1))[:angles.size + 1]
     xi = xi / np.linalg.norm(xi)
     return PureStateVector(xi, angles)
 

@@ -81,7 +81,7 @@ def test_distance_zero_quad_tol(tmp_path, capsys):
 
 
 def test_distance_not_converged(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(metric, "MAX_NEWTON", 1)
+    monkeypatch.setattr(metric, "MAX_ITERATIONS", 1)
     p = write_json(tmp_path / "phi.json",
                    {"n": 2, "a": [[0, 0], [1, 0], [0, 0]]})
     q = write_json(tmp_path / "psi.json",

@@ -105,7 +105,7 @@ def test_dual_norm_dominates_l1(rng):
 
 def test_dual_route_matches_primal(rng):
     gap = 1e-6
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 8, 16):
         phi, psi = random_state(n, rng), random_state(n, rng)
         primal = ts.connes_distance(phi, psi, gap).value
         dual, c = connes_via_dual(phi, psi, gap)
@@ -117,14 +117,14 @@ def test_dual_route_matches_primal(rng):
 
 
 def test_dual_route_reports_non_convergence(rng, monkeypatch):
-    monkeypatch.setattr(metric, "MAX_NEWTON", 1)
+    monkeypatch.setattr(metric, "MAX_ITERATIONS", 1)
     phi, psi = random_state(3, rng), random_state(3, rng)
     with pytest.raises(RuntimeError, match="lower .* upper"):
         connes_via_dual(phi, psi)
 
 
 @pytest.mark.parametrize("n, gap", [(3, 1e-8), (6, 1e-8), (16, 1e-6),
-                                    (24, 1e-6)])
+                                    (24, 1e-6), (64, 1e-6), (128, 1e-6)])
 def test_converges_to_gap(rng, n, gap):
     phi, psi = random_state(n, rng), random_state(n, rng)
     start = time.perf_counter()
@@ -133,6 +133,11 @@ def test_converges_to_gap(rng, n, gap):
     assert r.converged
     assert r.lower <= r.upper <= r.lower + gap
     assert ts.operator_norm(ts.dirac_commutator(r.optimizer)) <= 1 + 1e-9
+    # the dual matrix pairs with every constraint direction as the objective
+    for A in _hermitian_basis(n, with_t0=False):
+        G = ts.dirac_commutator(A).dense()
+        objective = ts.evaluate(phi, A) - ts.evaluate(psi, A)
+        assert abs(np.sum(r.dual * G.T) - objective) <= 1e-12
 
 
 def _hermitian_basis(n, with_t0):

@@ -71,7 +71,7 @@ def test_decompose_rotation_equivariance_property(seed, n, phi):
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8))
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24))
 def test_connes_distance_metric_properties(seed, n):
     # each value lies within gap of the distance: symmetry within 2 gap,
     # the triangle inequality within 3 gap, and kantorovich, which the

@@ -4,7 +4,7 @@ import pytest
 import toepsys as ts
 from toepsys.states import _node_density, _node_jacobian
 
-from conftest import random_hermitian_toeplitz, random_state
+from conftest import random_hermitian_toeplitz, random_state, slotted_angles
 
 
 def test_trace_state():
@@ -54,6 +54,17 @@ def test_pure_state_closed_form(rng):
                         np.exp(1j * (x + y))])
         ref /= np.sqrt(4 + 2 * np.cos(x - y))
         assert np.allclose(ps.xi, ref)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_pure_state_many_nodes(rng, n):
+    # one node per slot: xi(z) = prod (1 + e^{i angle_j} z) vanishes at
+    # z = -e^{-i angle_j} to rounding, and the state is pure
+    angles = slotted_angles(n - 1, rng)
+    ps = ts.pure_state_from_angles(angles)
+    at_nodes = np.polyval(ps.xi[::-1], -np.exp(-1j * angles))
+    assert np.abs(at_nodes).max() <= 1e-12 * np.abs(ps.xi).sum()
+    assert ts.is_pure(ps.state())
 
 
 def test_pure_state_permutation_invariance(rng):
