@@ -4,18 +4,20 @@ state space.
 
 A hermitian 3 x 3 Toeplitz matrix is coordinatized by reals (a, b, c, d, u)
 with t_0 = u, t_1 = a + ib, t_2 = c + id.  On the slice u = 1 the boundary
-of the positive cone is cut out by the quartic delta; its singular points
+of the positive cone is cut out by the cubic delta; its singular points
 form the closed curve gamma, and the boundary is swept by the segments
 sigma between pairs of curve points.  Dually, the extreme states are the
 two-torus family epsilon (a Moebius strip after the symmetry
 epsilon(x, y) = epsilon(y, x)), the boundary of the state space is swept by
 the segments beta, and the whole boundary lies inside the zero set of the
-degree six discriminant.
+degree six discriminant.  Functions of points and angles work elementwise
+on arrays; scalar input gives Python floats.
 """
 
 import numpy as np
 
-from .core import ToeplitzMatrix
+from .core import ToeplitzMatrix, extreme_ray
+from .states import pure_state_from_angles
 
 #: d(W, X, Y, Z) as (coefficient, (pW, pX, pY, pZ)) terms
 DISCRIMINANT_TERMS = [
@@ -74,32 +76,55 @@ _DISC_POWERS = np.array([p for _, p in DISCRIMINANT_TERMS])
 _DISC_GRAD_COEFFS = _DISC_COEFFS * _DISC_POWERS.T
 _DISC_GRAD_POWERS = np.maximum(
     _DISC_POWERS[None] - np.eye(4, dtype=int)[:, None], 0)
+# ToeplitzMatrix.dense's rule M[k, l] = t[k - l] on the diagonals t_-2..t_2
+_K_MINUS_L = np.subtract.outer(np.arange(3), np.arange(3)) + 2
+
+
+def _real(v):
+    """A Python float for a scalar, a float array otherwise."""
+    v = np.asarray(v, dtype=float)
+    return float(v) if v.ndim == 0 else v
+
+
+def _show(values):
+    return tuple(np.array2string(np.asarray(v), formatter={
+        "float_kind": "{:g}".format}) for v in values)
 
 
 class ConeCoords:
-    """Real coordinates (a, b, c, d, u) of a hermitian 3 x 3 Toeplitz matrix."""
+    """Real coordinates (a, b, c, d, u) of hermitian 3 x 3 Toeplitz matrices."""
 
     def __init__(self, a, b, c, d, u=1.0):
-        self.a, self.b, self.c, self.d, self.u = (
-            float(a), float(b), float(c), float(d), float(u))
+        self.a, self.b, self.c, self.d, self.u = map(_real, (a, b, c, d, u))
 
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d, self.u)
 
-    def toeplitz(self):
+    def _diagonals(self):
+        """The diagonal values t_-2, ..., t_2 along a last axis."""
         t1 = self.a + 1j * self.b
         t2 = self.c + 1j * self.d
-        return ToeplitzMatrix([np.conj(t2), np.conj(t1), self.u, t1, t2])
+        return np.stack(np.broadcast_arrays(np.conj(t2), np.conj(t1), self.u,
+                                            t1, t2), axis=-1)
+
+    def dense(self):
+        """The matrices, shape (..., 3, 3)."""
+        return self._diagonals()[..., _K_MINUS_L]
+
+    def toeplitz(self):
+        """The ToeplitzMatrix of one point; arrays of points raise."""
+        return ToeplitzMatrix(self._diagonals().reshape(5))
 
     def __repr__(self):
-        return "ConeCoords(a=%g, b=%g, c=%g, d=%g, u=%g)" % self.as_tuple()
+        return "ConeCoords(a=%s, b=%s, c=%s, d=%s, u=%s)" % _show(
+            self.as_tuple())
 
 
 class StateCoords:
     """Coordinates (W, X, Y, Z) of the functional aW + bX + cY + dZ + u."""
 
     def __init__(self, W, X, Y, Z):
-        self.W, self.X, self.Y, self.Z = float(W), float(X), float(Y), float(Z)
+        self.W, self.X, self.Y, self.Z = map(_real, (W, X, Y, Z))
 
     def as_tuple(self):
         return (self.W, self.X, self.Y, self.Z)
@@ -110,7 +135,7 @@ class StateCoords:
                 + p.u)
 
     def __repr__(self):
-        return "StateCoords(W=%g, X=%g, Y=%g, Z=%g)" % self.as_tuple()
+        return "StateCoords(W=%s, X=%s, Y=%s, Z=%s)" % _show(self.as_tuple())
 
 
 def cone_from_toeplitz(T):
@@ -122,7 +147,7 @@ def cone_from_toeplitz(T):
 
 
 def delta(p):
-    """The boundary quartic 2a^2(c-1) + 4abd - 2b^2(c+1) - c^2 - d^2 + 1.
+    """The boundary cubic 2a^2(c-1) + 4abd - 2b^2(c+1) - c^2 - d^2 + 1.
 
     Equals the determinant of the associated matrix on the slice u = 1.
     """
@@ -132,11 +157,12 @@ def delta(p):
 
 
 def grad_delta(p):
+    """The gradient of delta in (a, b, c, d), shape (4, ...)."""
     a, b, c, d = p.a, p.b, p.c, p.d
-    return np.array([4 * a * (c - 1) + 4 * b * d,
-                     4 * a * d - 4 * b * (c + 1),
-                     2 * (a * a - b * b - c),
-                     4 * a * b - 2 * d])
+    return np.array(np.broadcast_arrays(4 * a * (c - 1) + 4 * b * d,
+                                        4 * a * d - 4 * b * (c + 1),
+                                        2 * (a * a - b * b - c),
+                                        4 * a * b - 2 * d))
 
 
 def gamma_curve(x):
@@ -151,34 +177,23 @@ def sigma(x, y, s):
     return ConeCoords(*vals)
 
 
-def _epsilon_coords(x, y):
-    """The coordinates (W, X, Y, Z) of epsilon(x, y), elementwise in x, y."""
-    r = np.cos(x - y) + 2.0
-    return (2 * (np.cos(x) + np.cos(y)) / r,
-            2 * (np.sin(x) + np.sin(y)) / r,
-            np.cos(x + y) / r,
-            np.sin(x + y) / r)
-
-
-def _beta_coords(x, y, s):
-    """The coordinates (W, X, Y, Z) of beta(x, y, s), elementwise."""
-    return tuple(s * a + (1 - s) * b
-                 for a, b in zip(_epsilon_coords(x, y),
-                                 _epsilon_coords(x, y + np.pi)))
-
-
 def epsilon_state(x, y):
     """
     The extreme state supported at the node pair (x, y):
     W = 2(cos x + cos y)/r, X = 2(sin x + sin y)/r, Y = cos(x+y)/r,
     Z = sin(x+y)/r with r = cos(x-y) + 2.  Symmetric in (x, y).
     """
-    return StateCoords(*_epsilon_coords(x, y))
+    r = np.cos(x - y) + 2.0
+    return StateCoords(2 * (np.cos(x) + np.cos(y)) / r,
+                       2 * (np.sin(x) + np.sin(y)) / r,
+                       np.cos(x + y) / r, np.sin(x + y) / r)
 
 
 def beta(x, y, s):
     """Boundary segment s epsilon(x, y) + (1-s) epsilon(x, y + pi)."""
-    return StateCoords(*_beta_coords(x, y, s))
+    e, f = epsilon_state(x, y), epsilon_state(x, y + np.pi)
+    return StateCoords(*(s * a + (1 - s) * b
+                         for a, b in zip(e.as_tuple(), f.as_tuple())))
 
 
 def surface_residual(X, Y, Z):
@@ -190,10 +205,11 @@ def surface_residual(X, Y, Z):
 
 def _polynomial(coeffs, powers, v):
     """sum_t coeffs[t] prod_i v_i ** powers[t, i] at stacked coordinates v
-    of shape (4, ...)."""
+    of shape (4, ...), the powers v_i^k, k <= 6, by repeated products."""
     v = np.asarray(v, dtype=float)
-    k = np.arange(7).reshape((7,) + (1,) * (v.ndim - 1))
-    table = v[:, None] ** k
+    table = np.ones((4, 7) + v.shape[1:])
+    for k in range(1, 7):
+        table[:, k] = table[:, k - 1] * v
     monomials = table[0, powers[:, 0]]
     for i in range(1, 4):
         monomials = monomials * table[i, powers[:, i]]
@@ -213,12 +229,12 @@ def _grad_discriminant_values(v):
 
 def discriminant(q):
     """Value of the degree six boundary polynomial at state coordinates q."""
-    return float(_discriminant_values(q.as_tuple()))
+    return _real(_discriminant_values(np.broadcast_arrays(*q.as_tuple())))
 
 
 def grad_discriminant(q):
     """Analytic gradient of the boundary polynomial at state coordinates q."""
-    return _grad_discriminant_values(q.as_tuple())
+    return _grad_discriminant_values(np.broadcast_arrays(*q.as_tuple()))
 
 
 def support_quartic(q):
@@ -242,46 +258,46 @@ def sample_surfaces(kind, count, seed=42, slice_d=-0.4):
         cone-slice: points of the zero set of delta with d fixed at slice_d;
         state-surface: (X, Y, Z) points from epsilon samples;
         boundary: (W, X, Y, Z) points from beta samples.
-    count : int
+    count : int, >= 0
     seed : int
 
     Returns
     -------
     (header, rows) with rows a list of float tuples.
     """
+    if count < 0:
+        raise ValueError("sample count must be >= 0, got %d" % count)
     rng = np.random.default_rng(seed)
     if kind == "cone-slice":
         header = ("a", "b", "c", "d")
-        rows = []
+        rows = np.empty((0, 4))
         while len(rows) < count:
-            a = rng.uniform(-1.5, 1.5)
-            b = rng.uniform(-1.5, 1.5)
-            # delta is monic quadratic in -c: solve for the slice value
-            q2 = -1.0
+            # row-major (k, 2) blocks draw (a, b) as k scalar pairs would
+            a, b = rng.uniform(-1.5, 1.5, size=(2 * (count - len(rows)), 2)).T
+            # on the slice, delta = -c^2 + q1 c + q0: solve for c
             q1 = 2 * a * a - 2 * b * b
             q0 = (-2 * a * a + 4 * a * b * slice_d - 2 * b * b
                   - slice_d * slice_d + 1)
-            disc = q1 * q1 - 4 * q2 * q0
-            if disc < 0:
-                continue
-            for sgn in (1.0, -1.0):
-                if len(rows) >= count:
-                    break
-                c = (-q1 + sgn * np.sqrt(disc)) / (2 * q2)
-                rows.append((a, b, c, slice_d))
-        return header, rows
-    if kind == "state-surface":
+            disc = q1 * q1 + 4 * q0
+            real = disc >= 0
+            # both roots of each real pair, the lower one first
+            c = (q1[real, None] + np.array([-1.0, 1.0])
+                 * np.sqrt(disc[real, None])) / 2
+            block = np.broadcast_arrays(a[real, None], b[real, None], c,
+                                        slice_d)
+            rows = np.concatenate([rows, np.stack(block, -1).reshape(-1, 4)])
+    elif kind == "state-surface":
         header = ("X", "Y", "Z")
-        xy = rng.uniform(0, 2 * np.pi, size=(count, 2))
-        rows = [tuple(epsilon_state(x, y).as_tuple()[1:]) for x, y in xy]
-        return header, rows
-    if kind == "boundary":
+        x, y = rng.uniform(0, 2 * np.pi, size=(count, 2)).T
+        rows = np.column_stack(epsilon_state(x, y).as_tuple()[1:])
+    elif kind == "boundary":
         header = ("W", "X", "Y", "Z")
-        xys = rng.uniform(0, 1, size=(count, 3))
-        rows = [tuple(beta(2 * np.pi * x, 2 * np.pi * y, s).as_tuple())
-                for x, y, s in xys]
-        return header, rows
-    raise ValueError("unknown sample kind %r" % (kind,))
+        x, y, s = rng.uniform(0, 1, size=(count, 3)).T
+        rows = np.column_stack(
+            beta(2 * np.pi * x, 2 * np.pi * y, s).as_tuple())
+    else:
+        raise ValueError("unknown sample kind %r" % (kind,))
+    return header, list(zip(*rows[:count].T.tolist()))
 
 
 def run_checks(samples=1000, seed=42):
@@ -291,58 +307,42 @@ def run_checks(samples=1000, seed=42):
     Returns a dict of named maximal residuals plus an ``ok`` flag; all
     residual bounds match the documented tolerances.
     """
+    if samples < 1:
+        raise ValueError("run_checks needs samples >= 1, got %d" % samples)
     rng = np.random.default_rng(seed)
-    out = {}
-
     xs = rng.uniform(0, 2 * np.pi, samples)
     ys = rng.uniform(0, 2 * np.pi, samples)
     ss = rng.uniform(0, 1, samples)
+    pts = ConeCoords(*rng.uniform(-2, 2, size=(samples, 4)).T)
 
-    out["delta_on_sigma"] = max(abs(delta(sigma(x, y, s)))
-                                for x, y, s in zip(xs, ys, ss))
-    out["grad_delta_on_gamma"] = max(
-        float(np.abs(grad_delta(gamma_curve(x))).max()) for x in xs)
+    def sup(v):
+        return float(np.abs(v).max())
 
-    # determinant bridge on random cone points
-    pts = rng.uniform(-2, 2, size=(samples, 4))
-    out["delta_vs_det"] = max(
-        abs(delta(ConeCoords(*p)) -
-            float(np.real(np.linalg.det(ConeCoords(*p).toeplitz().dense()))))
-        for p in pts)
-
-    eps = [epsilon_state(x, y) for x, y in zip(xs, ys)]
-    out["surface_on_epsilon"] = max(
-        abs(surface_residual(e.X, e.Y, e.Z)) for e in eps)
-    out["discriminant_on_beta"] = float(
-        np.abs(_discriminant_values(_beta_coords(xs, ys, ss))).max())
-    out["grad_discriminant_on_epsilon"] = float(
-        np.abs(_grad_discriminant_values(_epsilon_coords(xs, ys))).max())
-    out["epsilon_symmetry"] = max(
-        float(np.abs(np.subtract(epsilon_state(x, y).as_tuple(),
-                                 epsilon_state(y, x).as_tuple())).max())
-        for x, y in zip(xs, ys))
+    eps = epsilon_state(xs, ys)
+    out = {
+        "delta_on_sigma": sup(delta(sigma(xs, ys, ss))),
+        "grad_delta_on_gamma": sup(grad_delta(gamma_curve(xs))),
+        # determinant bridge on random cone points
+        "delta_vs_det": sup(delta(pts) - np.linalg.det(pts.dense()).real),
+        "surface_on_epsilon": sup(surface_residual(eps.X, eps.Y, eps.Z)),
+        "discriminant_on_beta": sup(discriminant(beta(xs, ys, ss))),
+        "grad_discriminant_on_epsilon": sup(grad_discriminant(eps)),
+        "epsilon_symmetry": sup(np.subtract(
+            eps.as_tuple(), epsilon_state(ys, xs).as_tuple())),
+    }
 
     # extreme states are exactly the vector states with nodes (x, y)
-    from .states import pure_state_from_angles
-    bridge = 0.0
-    basis = [ConeCoords(*row) for row in np.eye(5)]
-    for x, y in zip(xs[:100], ys[:100]):
-        e = epsilon_state(x, y)
-        xi = pure_state_from_angles([x, y]).xi
-        for p in basis:
-            M = p.toeplitz().dense()
-            val = float(np.real(np.vdot(xi, M @ xi)))
-            bridge = max(bridge, abs(e(p) - val))
-    out["epsilon_pure_state_bridge"] = bridge
+    x, y = xs[:100], ys[:100]
+    xi = np.array([pure_state_from_angles(xy).xi for xy in zip(x, y)])
+    basis = ConeCoords(*np.eye(5))  # point j is the j-th coordinate vector
+    # vals[s, j] = xi_s^H M_j xi_s
+    vals = np.einsum("si,jik,sk->sj", xi.conj(), basis.dense(), xi).real
+    out["epsilon_pure_state_bridge"] = sup(
+        epsilon_state(x[:, None], y[:, None])(basis) - vals)
 
     # trace-3 bridge between the curve and the rank-one rays
-    from .core import extreme_ray
-    ray = 0.0
-    for x in xs[:100]:
-        A = gamma_curve(x).toeplitz().dense()
-        B = 3.0 * extreme_ray(np.exp(1j * x), 3).dense()
-        ray = max(ray, float(np.abs(A - B).max()))
-    out["gamma_extreme_ray_bridge"] = ray
+    rays = [3.0 * extreme_ray(np.exp(1j * t), 3).dense() for t in x]
+    out["gamma_extreme_ray_bridge"] = sup(gamma_curve(x).dense() - rays)
 
     out["ok"] = bool(
         out["delta_on_sigma"] <= 1e-10

@@ -126,6 +126,10 @@ def test_geometry3_check_and_sample(tmp_path, capsys):
     assert code == 0
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "X,Y,Z" and len(lines) == 6
+    code, out, err = run_cli(["geometry3", "--sample", "cone-slice",
+                              "--count", "-2"], capsys)
+    assert code == 1 and out == ""
+    assert "count must be >= 0" in json.loads(err)["error"]
 
 
 def test_malformed_json(tmp_path, capsys):

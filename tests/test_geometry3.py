@@ -181,3 +181,151 @@ def test_discriminant_equals_plain_sum_over_terms():
                 for c, (pw, px, py, pz) in g3.DISCRIMINANT_TERMS)
     assert g3.discriminant(g3.StateCoords(W, X, Y, Z)) == pytest.approx(
         plain, rel=1e-12)
+
+
+def test_negative_counts_are_rejected():
+    for kind in ("cone-slice", "state-surface", "boundary"):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            g3.sample_surfaces(kind, -2)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            g3.run_checks(samples=samples)
+
+
+def _assert_matches(arrays, scalars):
+    """Array results against stacked per-point scalar results, 1e-15
+    relative to their size."""
+    ref = np.asarray(scalars)
+    np.testing.assert_allclose(np.asarray(arrays), ref,
+                               rtol=1e-15, atol=1e-15 * np.abs(ref).max())
+
+
+def test_array_calls_match_scalar_calls(rng):
+    k = 300
+    x, y = rng.uniform(0, 2 * np.pi, size=(2, k))
+    s = rng.uniform(0, 1, k)
+    pts = rng.uniform(-2, 2, size=(4, k))
+    p = g3.ConeCoords(*pts)
+    scalar_points = [g3.ConeCoords(*col) for col in pts.T]
+    assert all(type(v) is float for v in scalar_points[0].as_tuple())
+    assert type(g3.delta(scalar_points[0])) is float
+    _assert_matches(g3.delta(p), [g3.delta(q) for q in scalar_points])
+    _assert_matches(g3.grad_delta(p),
+                    np.transpose([g3.grad_delta(q) for q in scalar_points]))
+    _assert_matches(np.linalg.det(p.dense()),
+                    [np.linalg.det(q.toeplitz().dense()) for q in scalar_points])
+    for name, args in (("gamma_curve", (x,)), ("sigma", (x, y, s)),
+                       ("epsilon_state", (x, y)), ("beta", (x, y, s))):
+        f = getattr(g3, name)
+        points = [f(*a) for a in zip(*args)]
+        assert all(type(v) is float for v in points[0].as_tuple())
+        _assert_matches(np.broadcast_arrays(*f(*args).as_tuple()),
+                        np.transpose([q.as_tuple() for q in points]))
+    e = g3.epsilon_state(x, y)
+    scalar_states = [g3.epsilon_state(*a) for a in zip(x, y)]
+    _assert_matches(e(p), [f(q) for f, q in zip(scalar_states, scalar_points)])
+    _assert_matches(g3.surface_residual(e.X, e.Y, e.Z),
+                    [g3.surface_residual(f.X, f.Y, f.Z) for f in scalar_states])
+    with pytest.raises(ValueError):
+        p.toeplitz()
+    # the discriminant's arrays are compared in
+    # test_discriminant_arrays_match_scalar_api; coordinates of mixed
+    # shapes broadcast
+    assert type(g3.discriminant(scalar_states[0])) is float
+    assert g3.grad_delta(g3.ConeCoords(0, 0, x, 0)).shape == (4, k)
+    assert g3.discriminant(g3.StateCoords(0, x, 0.1, 0)).shape == (k,)
+
+
+def _reference_samples(kind, count, seed, slice_d=-0.4):
+    """The point clouds by one scalar draw and one scalar call per point."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    if kind == "cone-slice":
+        while len(rows) < count:
+            a = rng.uniform(-1.5, 1.5)
+            b = rng.uniform(-1.5, 1.5)
+            q2 = -1.0
+            q1 = 2 * a * a - 2 * b * b
+            q0 = (-2 * a * a + 4 * a * b * slice_d - 2 * b * b
+                  - slice_d * slice_d + 1)
+            disc = q1 * q1 - 4 * q2 * q0
+            if disc < 0:
+                continue
+            for sgn in (1.0, -1.0):
+                if len(rows) >= count:
+                    break
+                rows.append((a, b, (-q1 + sgn * np.sqrt(disc)) / (2 * q2),
+                             slice_d))
+    elif kind == "state-surface":
+        for x, y in rng.uniform(0, 2 * np.pi, size=(count, 2)):
+            rows.append(g3.epsilon_state(x, y).as_tuple()[1:])
+    else:
+        for x, y, s in rng.uniform(0, 1, size=(count, 3)):
+            rows.append(g3.beta(2 * np.pi * x, 2 * np.pi * y, s).as_tuple())
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["cone-slice", "state-surface", "boundary"])
+@pytest.mark.parametrize("seed", [1, 2024])
+def test_sample_surfaces_match_scalar_reference(kind, seed):
+    _, rows = g3.sample_surfaces(kind, 101, seed=seed)
+    assert all(type(v) is float for row in rows for v in row)
+    ref = _reference_samples(kind, 101, seed)
+    assert len(rows) == len(ref) == 101
+    np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-15)
+
+
+def _reference_checks(samples, seed):
+    """The residuals of run_checks by one scalar call per sample."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0, 2 * np.pi, samples)
+    ys = rng.uniform(0, 2 * np.pi, samples)
+    ss = rng.uniform(0, 1, samples)
+    pts = rng.uniform(-2, 2, size=(samples, 4))
+    eps = [g3.epsilon_state(x, y) for x, y in zip(xs, ys)]
+    out = {
+        "delta_on_sigma": max(abs(g3.delta(g3.sigma(x, y, s)))
+                              for x, y, s in zip(xs, ys, ss)),
+        "grad_delta_on_gamma": max(np.abs(g3.grad_delta(g3.gamma_curve(x))).max()
+                                   for x in xs),
+        "delta_vs_det": max(abs(g3.delta(g3.ConeCoords(*p)) - np.real(
+            np.linalg.det(g3.ConeCoords(*p).toeplitz().dense()))) for p in pts),
+        "surface_on_epsilon": max(abs(g3.surface_residual(e.X, e.Y, e.Z))
+                                  for e in eps),
+        "discriminant_on_beta": max(abs(g3.discriminant(g3.beta(x, y, s)))
+                                    for x, y, s in zip(xs, ys, ss)),
+        "grad_discriminant_on_epsilon": max(
+            np.abs(g3.grad_discriminant(e)).max() for e in eps),
+        "epsilon_symmetry": max(
+            np.abs(np.subtract(e.as_tuple(),
+                               g3.epsilon_state(y, x).as_tuple())).max()
+            for e, x, y in zip(eps, xs, ys)),
+    }
+    basis = [g3.ConeCoords(*row) for row in np.eye(5)]
+    out["epsilon_pure_state_bridge"] = max(
+        abs(e(p) - np.real(np.vdot(xi, p.toeplitz().dense() @ xi)))
+        for e, xi in ((e, ts.pure_state_from_angles([x, y]).xi)
+                      for e, x, y in zip(eps[:100], xs, ys))
+        for p in basis)
+    out["gamma_extreme_ray_bridge"] = max(
+        np.abs(g3.gamma_curve(x).toeplitz().dense()
+               - 3.0 * ts.extreme_ray(np.exp(1j * x), 3).dense()).max()
+        for x in xs[:100])
+    return out
+
+
+def test_run_checks_match_scalar_reference():
+    out = g3.run_checks(samples=50, seed=3)
+    ref = _reference_checks(50, 3)
+    assert out["ok"] is True
+    assert list(out) == list(ref) + ["ok"]
+    for key, val in ref.items():
+        assert type(out[key]) is float
+        assert out[key] == pytest.approx(val, rel=0, abs=1e-12), key
+
+
+@pytest.mark.parametrize("name", ["delta", "surface_residual", "discriminant"])
+def test_run_checks_bite(monkeypatch, name):
+    f = getattr(g3, name)
+    monkeypatch.setattr(g3, name, lambda *args: f(*args) + 1e-6)
+    assert g3.run_checks(samples=50)["ok"] is False
