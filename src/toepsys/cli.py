@@ -218,8 +218,9 @@ def build_parser():
     q.set_defaults(func=_cmd_circulant)
 
     q = sub.add_parser("propagation", help="propagation number of a system")
-    q.add_argument("--toeplitz", type=int, default=None)
-    q.add_argument("--circulant", type=int, default=None)
+    g = q.add_mutually_exclusive_group()
+    g.add_argument("--toeplitz", type=int, default=None)
+    g.add_argument("--circulant", type=int, default=None)
     q.set_defaults(func=_cmd_propagation)
 
     q = sub.add_parser("geometry3", help="n=3 boundary geometry checks")

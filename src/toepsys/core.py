@@ -318,15 +318,14 @@ class CircleLayer:
         return pts[order], vals[order]
 
 
-def trig_minimum(a, refine=True):
+def trig_minimum(a):
     """
     Minimum over theta of the real circle function of a palindromic sequence.
 
     The least value at the points of CircleLayer.pieces, between which the
     function is monotone, in the cells whose bound is below the least
     sample of the grid: certified up to rounding, with the minimum
-    polished by Newton on the derivative.  ``refine`` is kept for
-    compatibility; the minimum is always refined.  Returns
+    polished by Newton on the derivative.  Returns
     ``(min_value, argmin_theta)``.
     """
     lay = CircleLayer(a.a)

@@ -10,6 +10,12 @@ algebra.
 Because the system is unital, S^1 <= S^2 <= ... is a nested chain, and S^k
 is an algebra exactly when S^{k+1} = S^k.  The spans are computed once, as
 one chain of orthonormal bases that grows until it stops growing.
+
+A spanning set of real matrices (diagonals, cyclic shifts, matrix units) is
+kept and multiplied in float64, any other in complex128.  Dimensions do not
+depend on the choice: the complex span of real matrices has a real
+orthonormal basis of the same dimension, and products of real matrices are
+real, so every dim S^k is the same in either arithmetic.
 """
 
 import numpy as np
@@ -22,21 +28,26 @@ RANK_TOL = 1e-9
 
 class MatrixSystem:
     """A self-adjoint unital subspace of the N x N matrices, from a spanning
-    set, kept as ``span``: orthonormal rows (flattened) that span it."""
+    set, kept as ``span``: orthonormal rows (flattened) that span it.
+
+    ``span`` is float64 when every spanning matrix has zero imaginary part,
+    complex128 otherwise; its number of rows, the complex dimension, is the
+    same either way."""
 
     def __init__(self, basis):
-        basis = [np.asarray(B, dtype=complex) for B in basis]
+        basis = [np.asarray(B) for B in basis]
         if not basis:
             raise ValueError("empty system")
         self.N = basis[0].shape[0]
-        for B in basis:
-            if B.shape != (self.N, self.N):
-                raise ValueError("basis matrices must share one square shape")
-        _, s, vh = np.linalg.svd(np.array([B.ravel() for B in basis]),
-                                 full_matrices=False)
-        self.span = vh[s > RANK_TOL * s[0]]
-        adj = np.array([B.conj().T.ravel() for B in basis])
-        eye = np.eye(self.N, dtype=complex).reshape(1, -1)
+        if any(B.shape != (self.N, self.N) for B in basis):
+            raise ValueError("basis matrices must share one square shape")
+        stack = np.array(basis, dtype=complex)
+        stack = stack if stack.imag.any() else stack.real
+        u, s, _ = np.linalg.svd(stack.reshape(len(basis), -1).T,
+                                full_matrices=False)
+        self.span = u[:, s > RANK_TOL * s[0]].T
+        adj = stack.conj().transpose(0, 2, 1).reshape(len(basis), -1)
+        eye = np.eye(self.N, dtype=stack.dtype).reshape(1, -1)
         for rows, msg in ((adj, "span is not self-adjoint"),
                           (eye, "span does not contain the identity")):
             R, tol = _off_span(rows, self.span)
@@ -46,11 +57,15 @@ class MatrixSystem:
 
 def toeplitz_system(n):
     """The n x n Toeplitz matrices as a system, spanned by the 2n-1 diagonals."""
+    if n < 1:
+        raise ValueError("toeplitz_system needs n >= 1, got %d" % n)
     return MatrixSystem([ToeplitzMatrix(e).dense() for e in np.eye(2 * n - 1)])
 
 
 def circulant_system(m):
     """The m x m circulants, spanned by the powers of the cyclic shift."""
+    if m < 1:
+        raise ValueError("circulant_system needs m >= 1, got %d" % m)
     return MatrixSystem([np.roll(np.eye(m), k, axis=0) for k in range(m)])
 
 

@@ -115,6 +115,18 @@ def test_propagation(capsys):
     assert code == 0 and json.loads(out)["prop"] == 2
     code, out, _ = run_cli(["propagation", "--circulant", "4"], capsys)
     assert code == 0 and json.loads(out)["prop"] == 1
+    for flag, name in (("--toeplitz", "n"), ("--circulant", "m")):
+        code, out, err = run_cli(["propagation", flag, "0"], capsys)
+        assert code == 1 and out == ""
+        assert "needs %s >= 1" % name in json.loads(err)["error"]
+
+
+def test_propagation_flags_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["propagation", "--toeplitz", "3", "--circulant", "5"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "not allowed with" in err
 
 
 def test_geometry3_check_and_sample(tmp_path, capsys):

@@ -11,6 +11,10 @@ def test_system_validation():
         ts.MatrixSystem([np.array([[0, 1], [0, 0]])])  # not self-adjoint
     with pytest.raises(ValueError):
         ts.MatrixSystem([np.array([[1, 0], [0, -1]])])  # no identity
+    for build, name in ((ts.toeplitz_system, "n"), (ts.circulant_system, "m")):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="needs %s >= 1" % name):
+                build(bad)
 
 
 def test_toeplitz_span_dims():
@@ -22,7 +26,7 @@ def test_toeplitz_span_dims():
 
 
 def test_circulant_is_algebra():
-    for m in (3, 5, 8):
+    for m in range(3, 24):
         sysm = ts.circulant_system(m)
         assert ts.product_span_dim(sysm, 1) == m
         assert ts.product_span_dim(sysm, 3) == m
@@ -40,11 +44,11 @@ def test_full_matrix_algebra():
 
 
 def test_toeplitz_propagation():
-    for n in range(2, 9):
+    for n in range(2, 13):
         assert ts.propagation_number(ts.toeplitz_system(n)) == 2
 
 
-def _tolerance_system(N, w, cyclic=False):
+def _tolerance_units(N, w, cyclic=False):
     """The matrix units E_ij with i and j at most w apart, on a path of N
     points or, if cyclic, on a cycle of N points."""
     i, j = np.indices((N, N))
@@ -56,7 +60,11 @@ def _tolerance_system(N, w, cyclic=False):
         E = np.zeros((N, N))
         E[a, b] = 1
         mats.append(E)
-    return ts.MatrixSystem(mats)
+    return mats
+
+
+def _tolerance_system(N, w, cyclic=False):
+    return ts.MatrixSystem(_tolerance_units(N, w, cyclic))
 
 
 @pytest.mark.parametrize("N, w, expected",
@@ -82,3 +90,42 @@ def test_toeplitz_propagation_n16_is_fast():
     start = time.perf_counter()
     assert ts.propagation_number(ts.toeplitz_system(16)) == 2
     assert time.perf_counter() - start < 2.0
+
+
+def _real_spanning_sets():
+    for n in range(2, 9):
+        yield "toeplitz%d" % n, [ts.ToeplitzMatrix(e).dense()
+                                 for e in np.eye(2 * n - 1)]
+    for m in range(3, 9):
+        yield "circulant%d" % m, [np.roll(np.eye(m), k, axis=0)
+                                  for k in range(m)]
+    for N, w in ((4, 1), (6, 1), (8, 1), (9, 2), (10, 1)):
+        yield "band%d-%d" % (N, w), _tolerance_units(N, w)
+    for N, w in ((8, 1), (10, 2), (11, 1)):
+        yield "cyclic%d-%d" % (N, w), _tolerance_units(N, w, cyclic=True)
+
+
+@pytest.mark.parametrize("mats", [pytest.param(mats, id=name)
+                                  for name, mats in _real_spanning_sets()])
+def test_real_and_complex_spanning_sets_agree(mats):
+    """A real spanning set is kept in float64; the same set times a unit
+    phase is complex, spans the same complex space and must give the same
+    chain of product-span dimensions."""
+    real = ts.MatrixSystem(mats)
+    cplx = ts.MatrixSystem([np.exp(1j * np.pi / 7) * M for M in mats])
+    assert real.span.dtype == np.float64
+    assert cplx.span.dtype == np.complex128
+    prop = ts.propagation_number(real)
+    assert ts.propagation_number(cplx) == prop
+    dims = [ts.product_span_dim(real, k) for k in range(1, prop + 2)]
+    assert [ts.product_span_dim(cplx, k) for k in range(1, prop + 2)] == dims
+
+
+def test_span_dtype_follows_spanning_set():
+    # integer and real-valued complex input are real spanning sets
+    assert ts.MatrixSystem([np.eye(3, dtype=int)]).span.dtype == np.float64
+    assert ts.MatrixSystem([np.eye(3) + 0j]).span.dtype == np.float64
+    herm = [np.eye(2), np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]])]
+    assert ts.MatrixSystem(herm).span.dtype == np.complex128
+    assert ts.propagation_number(ts.MatrixSystem(herm)) == 2
