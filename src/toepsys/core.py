@@ -22,6 +22,11 @@ def _as_coeffs(seq):
     return a
 
 
+def _self_adjoint(c, tol):
+    """max_k |c_k - conj(c_{-k})| <= tol (1 + max_k |c_k|), for ascending c."""
+    return bool(np.abs(c - np.conj(c[::-1])).max() <= tol * (1 + np.abs(c).max()))
+
+
 class ToeplitzMatrix:
     """
     An n x n constant-diagonal matrix stored by its 2n-1 diagonal values.
@@ -51,8 +56,8 @@ class ToeplitzMatrix:
 
     @property
     def hermitian(self):
-        """True when t_{-k} = conj(t_k) for all k."""
-        return bool(np.allclose(self.t[::-1], np.conj(self.t), atol=1e-14 * (1 + np.abs(self.t).max())))
+        """True when max_k |t_{-k} - conj(t_k)| <= 1e-14 (1 + max_k |t_k|)."""
+        return _self_adjoint(self.t, 1e-14)
 
     def conj_transpose(self):
         return ToeplitzMatrix(np.conj(self.t[::-1]))
@@ -99,9 +104,9 @@ class FRElement:
 
     @property
     def palindromic(self):
-        """True when a = a*, i.e. the circle function is real-valued."""
-        return bool(np.allclose(self.a, np.conj(self.a[::-1]),
-                                atol=1e-13 * (1 + np.abs(self.a).max())))
+        """True when a = a*, i.e. the circle function is real-valued, to
+        max_k |a_k - conj(a_{-k})| <= 1e-13 (1 + max_k |a_k|)."""
+        return _self_adjoint(self.a, 1e-13)
 
     def __call__(self, theta):
         """Evaluate sum_k a_k exp(i k theta) pointwise."""
@@ -217,6 +222,24 @@ def fr_convolve(a, b):
     the sum of the factors' support bounds.
     """
     return FRElement(np.convolve(a.a, b.a))
+
+
+class RoundingStop:
+    """
+    Stop rule of a least-squares iteration whose residual bottoms out at
+    rounding.  Called with the residual norm of each new iterate, it
+    answers True once the norm is at ``floor``, or once it is within 10^3
+    times the floor and has failed to halve on two consecutive calls:
+    later steps only wander along near-null directions of the Jacobian.
+    """
+
+    def __init__(self, floor):
+        self.floor, self.last, self.stalls = floor, np.inf, 0
+
+    def __call__(self, err):
+        stalled = self.last / 2 < err <= 1e3 * self.floor
+        self.stalls, self.last = (self.stalls + 1 if stalled else 0), err
+        return err <= self.floor or self.stalls >= 2
 
 
 def _quadratic_min(c0, c1, c2, r):

@@ -10,7 +10,8 @@ deficient-rank remainder is decomposed.
 
 import numpy as np
 
-from .core import ToeplitzMatrix, extreme_ray, fourier_vector, spectrum_is_positive
+from .core import (RoundingStop, ToeplitzMatrix, extreme_ray, fourier_vector,
+                   spectrum_is_positive)
 
 #: angular radius used to coalesce numerically split nodes
 NODE_CLUSTER_TOL = 1e-6
@@ -119,11 +120,10 @@ def _refine(T, angles, iters=12):
     Starts from the least-squares weights for the given nodes, clamped to
     be nonnegative, and keeps the best iterate rather than the last;
     near-coincident nodes make the Jacobian rank deficient, which lstsq
-    absorbs.  It stops at rounding, max-abs residual err <= 8 n eps max|t_k|,
-    or when err, within 10^3 times that floor, has not halved for two steps:
-    later steps only wander along near-null directions of the Jacobian.
-    The best iterate is still returned.  Transient negative weights are
-    clamped at the end; the caller's reconstruction check is the real guard.
+    absorbs.  It stops by ``core.RoundingStop`` on the max-abs residual err,
+    with floor 8 n eps max|t_k|; the best iterate is still returned.
+    Transient negative weights are clamped at the end; the caller's
+    reconstruction check is the real guard.
     """
     n, r = T.n, angles.size
     k = np.arange(-n + 1, n)
@@ -132,8 +132,7 @@ def _refine(T, angles, iters=12):
                             np.concatenate([T.t.real, T.t.imag]), rcond=None)
     x = np.concatenate([angles, np.clip(d, 0.0, None)])
     best, best_err = x.copy(), np.inf
-    floor = 8 * n * np.finfo(float).eps * float(np.abs(T.t).max())
-    last, stalls = np.inf, 0
+    stop = RoundingStop(8 * n * np.finfo(float).eps * float(np.abs(T.t).max()))
     for _ in range(iters):
         th, d = x[:r], x[r:]
         E = np.exp(1j * np.outer(k, th))
@@ -141,8 +140,7 @@ def _refine(T, angles, iters=12):
         err = float(np.abs(resid).max())
         if err < best_err:
             best_err, best = err, x.copy()
-        stalls, last = (stalls + 1 if last / 2 < err <= 1e3 * floor else 0), err
-        if err <= floor or stalls >= 2:
+        if stop(err):
             break
         # d(model)/d(theta_i) = d_i * i k e^{i k theta_i} / n
         J = np.hstack([1j * k[:, None] * E * d[None, :] / n, E / n])

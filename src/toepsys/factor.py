@@ -14,7 +14,7 @@ and half of each (even) multiplicity on the circle.
 
 import numpy as np
 
-from .core import FRElement, fr_convolve, fr_is_positive
+from .core import FRElement, RoundingStop, fr_convolve, fr_is_positive
 
 #: cap on the Levenberg-Marquardt steps tried by the coefficient polish
 _POLISH_STEPS = 100
@@ -106,8 +106,13 @@ def _polish(q, a):
     step that lowers ||r||, down to 1e-15 max diag(J^T J) so that the system
     stays regular, and rises tenfold otherwise.  Damping matters: J is rank
     deficient exactly when q has circle roots, where plain Gauss-Newton
-    stalls.  The iteration stops when an accepted step lowers ||r|| by less
-    than 1e-15 max(1, ||a||_inf), when the step no longer moves q, or after
+    stalls and the damped steps converge only linearly.  The iteration
+    stops at rounding: ``core.RoundingStop``, fed ||r|| of the start and of
+    each accepted step with floor 8 m eps max(1, ||a||_inf), stops once
+    ||r|| is at the floor, or within 10^3 times it and not halved on two
+    accepted steps in a row.
+    It also stops when an accepted step lowers ||r|| by less than 1e-15
+    max(1, ||a||_inf), when the step no longer moves q, or after
     _POLISH_STEPS trials.  Only steps that lower ||r|| are taken, so the
     returned q never has a larger residual than the input.  Returns q and
     ||r||.
@@ -121,9 +126,10 @@ def _polish(q, a):
         b, J = _square_and_jacobian(q, ia, ib)
         return np.concatenate([(b - target).real, (b - target).imag]), J
 
+    stop = RoundingStop(8 * m * np.finfo(float).eps * scale)
     r, J = residual(q)
     norm = np.linalg.norm(r)
-    if norm <= 1e-13 * scale:
+    if stop(norm):
         return q, norm
     x = np.concatenate([q.real, q.imag])
     H, g = J.T @ J, J.T @ r
@@ -140,7 +146,7 @@ def _polish(q, a):
         rn, J = residual(qn)
         nn = np.linalg.norm(rn)
         if nn < norm:
-            done = norm - nn < 1e-15 * scale
+            done = norm - nn < 1e-15 * scale or stop(nn)
             x, q, r, norm, mu = xn, qn, rn, nn, max(mu / 10.0, mu_min)
             if done:
                 break

@@ -12,7 +12,7 @@ permutation, by n-1 node angles through elementary symmetric polynomials.
 
 import numpy as np
 
-from .core import FRElement, fr_convolve, fr_is_positive, pairing
+from .core import CircleLayer, FRElement, fr_convolve, fr_is_positive, pairing
 from .factor import laurent_roots
 
 #: cap on the Levenberg-Marquardt steps of the node fit in is_pure, and the
@@ -225,6 +225,35 @@ def _fits_pure(a, theta, tol):
     return False
 
 
+def _has_positive_well(a, tol):
+    """
+    True only when every function within sup distance tol ||a||_1 of the
+    circle function p of the palindromic coefficients ``a`` has a positive
+    local minimum.  Read from the cells of one CircleLayer, with
+    delta = tol ||a||_1 + rnd for its rounding rnd: the circle is cut at
+    the cells whose centre value is a local maximum of the centre values,
+    and an arc between two cuts is a well when the lower bounds of p on
+    its cells exceed delta and both cut values exceed its least centre
+    value by more than 2 delta.  A function g within tol ||a||_1 of p is
+    then larger at the cuts than somewhere inside the arc, so its least
+    value on the arc is taken inside, and it is positive.  No cell is
+    refined; a well too narrow for its cells' bounds is not seen.
+    """
+    lay = CircleLayer(a)
+    delta = tol * lay.norm + lay.rnd
+    c, lo = lay.C[0], lay.bounds(lay.C, lay.r)[0]
+    top = np.flatnonzero((c >= np.roll(c, 1)) & (c > np.roll(c, -1)))
+    if top.size == 0:
+        return False
+    # arcs [cut[j], cut[j + 1]] on the doubled cell sequence
+    cut = np.r_[top, top[0] + c.size]
+    c, lo = np.r_[c, c], np.r_[lo, lo]
+    least = np.minimum.reduceat(c, cut)[:-1]
+    floor = np.minimum(np.minimum.reduceat(lo, cut)[:-1], lo[cut[1:]])
+    ends = np.minimum(c[cut[:-1]], c[cut[1:]])
+    return bool(np.any((floor > delta) & (ends > least + 2 * delta)))
+
+
 def is_pure(state, tol=1e-6):
     """
     Extremality test by backward error: True when a pure density lies
@@ -234,8 +263,19 @@ def is_pure(state, tol=1e-6):
     full complement of n-1 circle nodes, each a double root, so the
     candidate p = s prod_j |z - e^{i theta_j}|^2 is pure by construction;
     its nodes are fitted by ``_fits_pure`` from the paired Laurent roots.
-    Densities whose polynomial degree drops (vanishing leading
-    coefficients) are classified not pure.
+
+    Two exits answer False before the fit.  A density whose polynomial
+    degree drops (vanishing leading coefficients) has fewer than 2(n-1)
+    Laurent roots.  A density with a positive well, found by
+    ``_has_positive_well`` on one CircleLayer, has no pure density within
+    the tolerance: every function within sup distance
+    delta = tol ||a||_1 + rnd (rnd the layer's rounding) of it has a
+    positive local minimum, while a pure density has none, since p' / p =
+    sum_j cot((theta - theta_j) / 2) falls between consecutive nodes, so
+    that p has one maximum and no other critical point there.  The fit
+    accepts only within ||coeff(a - p)||_1 <= tol ||a||_1, a sup distance
+    below delta, so this exit changes no verdict; mixtures whose wells sit
+    below delta, or are too shallow, still go through the fit.
 
     The roots themselves cannot be tested against the circle: where the
     density is below rounding level on an arc, as on dense node clusters
@@ -244,6 +284,8 @@ def is_pure(state, tol=1e-6):
     also miss: it stops after a bounded number of steps, so a pure density
     whose fit converges slowly is reported not pure.
     """
+    if _has_positive_well(state.density.a, tol):
+        return False
     try:
         roots = laurent_roots(state.density)
     except ValueError:

@@ -46,6 +46,27 @@ def test_involution_and_palindromic(rng):
     assert np.allclose(b.involution().a, [np.conj(3), np.conj(2j), 1])
 
 
+def test_symmetry_tolerance_is_absolute():
+    # a relative asymmetry of 3e-6 is far above the stated 1e-13 / 1e-14
+    # (times 1 + max|a|), though within allclose's default rtol of 1e-5
+    skew = [0.1 * (1 + 3e-6), 1, 0.1]
+    assert not ts.fr_from_coeffs(skew).palindromic
+    assert not ts.toeplitz_from_coeffs(skew).hermitian
+    assert ts.fr_from_coeffs([0.1 + 1e-14, 1, 0.1]).palindromic
+    assert ts.toeplitz_from_coeffs([0.1 + 1e-15, 1, 0.1]).hermitian
+
+
+def test_rounding_stop():
+    stop = ts.core.RoundingStop(1e-15)
+    # far above the floor, slow progress never stops
+    assert not any(stop(e) for e in (1.0, 0.9, 0.85, 0.8))
+    # within 10^3 of the floor: two steps in a row that fail to halve
+    assert not stop(5e-13) and not stop(4e-13) and stop(3.9e-13)
+    stop = ts.core.RoundingStop(1e-15)
+    assert not stop(5e-13) and not stop(2e-13) and not stop(1.5e-13)
+    assert stop(1e-15)
+
+
 def test_circle_function_values():
     # 1 + cos theta has coefficients (1/2, 1, 1/2)
     a = ts.fr_from_coeffs([0.5, 1.0, 0.5])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import toepsys as ts
+import toepsys.factor as factor
 from toepsys.factor import _shift_indices, _square_and_jacobian, laurent_roots
 
 from conftest import boundary_density, random_positive_fr
@@ -101,6 +102,29 @@ def test_boundary_repeated_circle_roots_large_n(rng, n):
         # about residual**(1/4) ~ 1e-3, while reflecting a disc root of
         # modulus <= 0.9 would put it at >= 1.11
         assert np.abs(np.roots(f.q[::-1])).max() <= 1 + 1e-3
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_boundary_polish_stops_at_rounding(n, monkeypatch):
+    # circle roots make the polish converge linearly; it stops once its
+    # residual is at rounding instead of running toward its step cap
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _square_and_jacobian(*args)
+
+    monkeypatch.setattr(factor, "_square_and_jacobian", counted)
+    rng = np.random.default_rng(300 + n)
+    counts = []
+    for _ in range(8):
+        a = boundary_density(n, rng)
+        calls.clear()
+        f = ts.fejer_riesz_factorize(a)
+        counts.append(len(calls))
+        assert ts.factorization_residual(a, f) <= 1e-10 * np.abs(a.a).sum()
+    assert max(counts) <= factor._POLISH_STEPS + 1
+    assert np.mean(counts) <= 15
 
 
 def test_residual_is_coefficient_l1_bound(rng):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import toepsys as ts
-from toepsys.states import _node_density, _node_jacobian
+from toepsys.factor import laurent_roots
+from toepsys.states import (_fits_pure, _has_positive_well, _node_density,
+                            _node_jacobian, _paired_nodes)
 
 from conftest import random_hermitian_toeplitz, random_state, slotted_angles
 
@@ -28,6 +30,9 @@ def test_invalid_densities_rejected():
         ts.state_from_density(ts.fr_from_coeffs([0.5, -1.0, 0.5]))
     with pytest.raises(ValueError):
         ts.state_from_density(ts.fr_from_coeffs([1.0, 1.0, 0.5]))
+    # asymmetric by 3e-6 relative: within allclose's default rtol only
+    with pytest.raises(ValueError, match="palindromic"):
+        ts.state_from_density(ts.fr_from_coeffs([0.1 * (1 + 3e-6), 1, 0.1]))
 
 
 def test_states_positive_on_positive(rng):
@@ -162,3 +167,59 @@ def test_pure_states_nonnegative_on_rays(rng):
         f = ts.fourier_vector(lam, n)
         assert val == pytest.approx(abs(np.vdot(f, ps.xi)) ** 2, abs=1e-11)
         assert val >= -1e-12
+
+
+def _pure_node_sets(n, rng):
+    """Node sets of the pure states at size n: random, one per slot,
+    repeated in pairs, and in clusters of width 1e-3."""
+    r = n - 1
+    centres = rng.uniform(0, 2 * np.pi, (r + 3) // 4)
+    yield rng.uniform(0, 2 * np.pi, r)
+    yield slotted_angles(r, rng)
+    yield np.repeat(rng.uniform(0, 2 * np.pi, (r + 1) // 2), 2)[:r]
+    yield (np.repeat(centres, 4)[:r] + rng.uniform(0, 1e-3, r)) % (2 * np.pi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 32, 48, 64, 96, 128])
+def test_positive_well_never_on_pure_states(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        for angles in _pure_node_sets(n, rng):
+            a = ts.pure_state_from_angles(angles).state().density.a
+            assert not _has_positive_well(a, 1e-6)
+            assert not _has_positive_well(a, 1e-12)
+    assert not _has_positive_well(ts.pure_state_from_angles([0.0, 0.0]).state().density.a, 1e-6)
+    # the state of test_is_pure_is_a_backward_error whose nodes sit at
+    # radius 1 - 1e-5: a pure density lies O(1e-10) away
+    angles = np.array([0.3, 1.4, 2.0, 3.5, 5.1])
+    near = ts.vector_state(np.poly((1 - 1e-5) * np.exp(1j * angles))[::-1])
+    assert not _has_positive_well(near.density.a, 1e-6)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_positive_well_agrees_with_the_fit(n):
+    # where the well answers, the node fit started as is_pure starts it
+    # finds no pure density either; it answers on most mixtures
+    rng = np.random.default_rng(200 + n)
+    fired = 0
+    for _ in range(6):
+        a = random_state(n, rng).density
+        if _has_positive_well(a.a, 1e-6):
+            fired += 1
+            assert not _fits_pure(a.a, _paired_nodes(laurent_roots(a)), 1e-6)
+    assert fired >= 4
+
+
+def test_positive_well_hand_built():
+    # 1 + cos(2 theta) / 2: minima 1/2 at +-pi / 2 between maxima 3/2
+    well = ts.fr_from_coeffs([0.25, 0, 1, 0, 0.25])
+    assert _has_positive_well(well.a, 1e-6)
+    assert not ts.is_pure(ts.state_from_density(well))
+    # (1 + cos theta)(1 + cos(theta) / 2): one double zero at pi and one
+    # maximum, no well; not pure (one node at n = 3), which the fit decides
+    hump = ts.fr_from_coeffs([0.125, 0.75, 1.25, 0.75, 0.125])
+    assert not _has_positive_well(hump.a, 1e-6)
+    assert not ts.is_pure(ts.state_from_density(hump))
+    # a constant has no well at any size
+    assert not _has_positive_well(ts.trace_state(4).density.a, 1e-6)
+    assert not _has_positive_well(ts.trace_state(1).density.a, 1e-6)
