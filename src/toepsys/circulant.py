@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import ToeplitzMatrix
+from .core import ToeplitzMatrix, _self_adjoint
 
 
 class CirculantMatrix:
@@ -38,8 +38,8 @@ class CirculantMatrix:
 
     @property
     def hermitian(self):
-        return bool(np.allclose(self.c, np.conj(np.roll(self.c[::-1], 1)),
-                                atol=1e-13 * (1 + np.abs(self.c).max())))
+        # c_0, ..., c_{m-1}, c_0 reversed runs through conj(c_{-k mod m})
+        return _self_adjoint(np.append(self.c, self.c[0]), 1e-13)
 
     def __repr__(self):
         return "CirculantMatrix(m=%d, c=%r)" % (self.m, list(self.c))

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import circulant as circ
 from . import decompose, factor, geometry3, metric, opsys, states
-from .core import (fr_from_json, fr_to_json, is_positive, toeplitz_from_json,
-                   toeplitz_to_json)
+from .core import fr_from_json, fr_to_json, toeplitz_from_json, toeplitz_to_json
 
 
 def _format(value):
@@ -182,9 +181,9 @@ def _cmd_geometry3(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="toepsys")
-    p.add_argument("--gap", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-8)
+    p.add_argument("--gap", type=float, default=1e-6, help="Connes distance bracket width")
+    p.add_argument("--tol", type=float, default=1e-9, help="relative positivity tolerance")
+    p.add_argument("--quad-tol", type=float, default=1e-8, help="Kantorovich optimality bound")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=None)
     sub = p.add_subparsers(dest="command")

@@ -19,8 +19,11 @@ NODE_CLUSTER_TOL = 1e-6
 #: least grid resolution for choosing the ray peeled off a full-rank matrix
 PEEL_GRID = 256
 
-#: cap on the Gauss-Newton steps that refine the nodes in kernel_roots
-_NODE_STEPS = 20
+#: relative eigenvalue cut that sets the rank, the kernel and det_multiplicity
+RANK_CUT = 1e-12
+
+#: caps on the Gauss-Newton steps of kernel_roots (nodes) and _refine
+_NODE_STEPS, _REFINE_STEPS = 20, 12
 
 
 class VandermondeDecomposition:
@@ -62,12 +65,19 @@ def reconstruct(vd, n):
     return ToeplitzMatrix(np.exp(1j * np.outer(k, vd.angles)) @ vd.weights / n)
 
 
+def _nullity(w):
+    """The number of eigenvalues w with |lambda| <= RANK_CUT max |lambda|."""
+    return int(np.sum(np.abs(w) <= RANK_CUT * np.abs(w).max()))
+
+
 def _positive_eigh(T, tol, caller):
-    """One eigendecomposition of T, checked with ``is_positive``'s rule."""
+    """Ascending eigenpairs w, V of T, checked by ``is_positive``'s rule, and
+    the nullity m of max(w, 0), which reads the negative eigenvalues allowed
+    by tol as zero: the kernel is V[:, :m] and the range V[:, m:]."""
     if T.hermitian:
         w, V = np.linalg.eigh(T.dense())
-        if spectrum_is_positive(w, max(tol, 1e-9))[0]:
-            return w, V, float(np.abs(w).max())
+        if spectrum_is_positive(w, tol)[0]:
+            return w, V, _nullity(np.maximum(w, 0.0))
     raise ValueError("%s requires a positive hermitian matrix" % caller)
 
 
@@ -88,16 +98,15 @@ def kernel_roots(T, tol=1e-9):
     Raises
     ------
     ValueError
-        If T is nonsingular (empty kernel at the given tolerance), or if g
-        has no zero on the circle.
+        If T is not positive at ``tol``, is nonsingular (no eigenvalue
+        within RANK_CUT of zero), or if g has no zero on the circle.
     """
-    w, V, scale = _positive_eigh(T, tol, "kernel_roots")
-    kern = w <= max(tol, 1e-9) * max(scale, 1e-300)
-    K = V[:, kern].conj().T
-    if K.shape[0] == 0:
-        raise ValueError("matrix is nonsingular at tolerance %g" % tol)
+    _, V, m = _positive_eigh(T, tol, "kernel_roots")
+    if m == 0:
+        raise ValueError("matrix is nonsingular at rank cut %g" % RANK_CUT)
+    K = V[:, :m].conj().T
     p = np.arange(T.n)[:, None]
-    theta = _subspace_nodes(V[:, ~kern])
+    theta = _subspace_nodes(V[:, m:])
     for _ in range(_NODE_STEPS):
         E = np.exp(1j * p * theta) / np.sqrt(T.n)
         u, du = K @ E, K @ (1j * p * E)
@@ -107,14 +116,14 @@ def kernel_roots(T, tol=1e-9):
         if np.abs(step).max(initial=0.0) <= 4 * np.finfo(float).eps:
             break
     g = np.sum(np.abs(K @ np.exp(1j * p * theta)) ** 2, axis=0) / T.n
-    nodes = theta[g <= np.sqrt(max(tol, 1e-9)) * K.shape[0] / T.n]
+    nodes = theta[g <= np.sqrt(tol) * m / T.n]
     if nodes.size == 0:
         raise ValueError("kernel polynomials have no common circle root; "
                          "input is not a positive Toeplitz matrix")
     return np.exp(1j * np.sort(nodes % (2 * np.pi)))
 
 
-def _refine(T, angles, iters=12):
+def _refine(T, angles):
     """Gauss-Newton on (angles, weights) against the coefficients of T.
 
     Starts from the least-squares weights for the given nodes, clamped to
@@ -133,7 +142,7 @@ def _refine(T, angles, iters=12):
     x = np.concatenate([angles, np.clip(d, 0.0, None)])
     best, best_err = x.copy(), np.inf
     stop = RoundingStop(8 * n * np.finfo(float).eps * float(np.abs(T.t).max()))
-    for _ in range(iters):
+    for _ in range(_REFINE_STEPS):
         th, d = x[:r], x[r:]
         E = np.exp(1j * np.outer(k, th))
         resid = (E / n) @ d - T.t
@@ -175,17 +184,16 @@ def vandermonde_decompose(T, tol=1e-9):
     (1 - |k| / n) conj(t_k) sampled by one FFT, is removed with the
     extremal coefficient s = 1 / <f_lambda, T^{-1} f_lambda>, which drops
     the rank by one and leaves v = T^{-1} f_lambda as the kernel.  One
-    eigendecomposition of T serves the positivity check, the rank, T^{-1}
-    and the range.  Full-rank decompositions are not unique; only
-    reconstruction is canonical.
+    eigendecomposition of T serves the positivity check, the rank (cut by
+    RANK_CUT, as in det_multiplicity), T^{-1} and the range.  Full-rank
+    decompositions are not unique; only reconstruction is canonical.
     """
-    w, V, scale = _positive_eigh(T, tol, "vandermonde_decompose")
-    n = T.n
-    if scale == 0.0:
+    w, V, m = _positive_eigh(T, tol, "vandermonde_decompose")
+    n, rank = T.n, T.n - m
+    if rank == 0:
         return VandermondeDecomposition([], [])
     if n == 1:
         return VandermondeDecomposition([0.0], [float(np.real(T.t[0]))])
-    rank = int(np.sum(w > 1e-12 * scale))
 
     peel = None
     if rank == n:
@@ -203,7 +211,7 @@ def vandermonde_decompose(T, tol=1e-9):
         x[0] += np.exp(1j * np.angle(x[0]))
         Us = np.eye(n)[:, 1:] - 2 * np.outer(x, x[1:].conj()) / np.vdot(x, x).real
     else:
-        Us = V[:, -rank:]
+        Us = V[:, m:]
     angles, weights = _refine(T, _subspace_nodes(Us))
     if peel is not None:
         # merge the peeled ray back in, coalescing with an existing node if hit
@@ -218,7 +226,7 @@ def vandermonde_decompose(T, tol=1e-9):
     return VandermondeDecomposition(angles[keep], weights[keep])
 
 
-def det_multiplicity(T, max_k=None):
+def det_multiplicity(T):
     """
     Order of vanishing of the determinant at T along Toeplitz directions:
     the smallest m for which some m-th directional derivative of det inside
@@ -228,11 +236,7 @@ def det_multiplicity(T, max_k=None):
     inequality keeps the k zero eigenvalues of T within |t| ||B|| of zero,
     so det(T + tB) vanishes to order >= k at t = 0; along B = I it is the
     product of the eigenvalues plus t and vanishes to order exactly k.  The
-    nullity counts the eigenvalues with |lambda| <= 1e-10 max |lambda|.
-    Returns min(nullity, max_k + 1), max_k defaulting to n.
+    nullity counts the eigenvalues with |lambda| <= RANK_CUT max |lambda|,
+    the cut that sets the rank in ``vandermonde_decompose``.
     """
-    if max_k is None:
-        max_k = T.n
-    w = np.abs(np.linalg.eigvalsh(T.dense()))
-    nullity = int(np.sum(w <= 1e-10 * w.max()))
-    return min(nullity, max_k + 1)
+    return _nullity(np.linalg.eigvalsh(T.dense()))

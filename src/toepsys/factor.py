@@ -211,7 +211,7 @@ def fejer_riesz_factorize(a, tol=1e-9):
     ValueError
         If ``a`` is not (numerically) nonnegative.
     """
-    if not fr_is_positive(a, tol=max(tol, 1e-9)):
+    if not fr_is_positive(a, tol=tol):
         raise ValueError("factorization requires a nonnegative sequence")
     c = np.trim_zeros(a.a)
     if c.size == 0:

@@ -68,7 +68,7 @@ def state_from_density(a, tol=1e-9):
     if a0 <= tol:
         raise ValueError("a state density needs a_0 > 0, got %g" % a0)
     a = a * (1.0 / a0)
-    if not fr_is_positive(a, tol=max(tol, 1e-9)):
+    if not fr_is_positive(a, tol=tol):
         raise ValueError("a state density must be nonnegative on the circle")
     return State(a)
 
@@ -133,13 +133,10 @@ def _paired_nodes(roots):
     gives its mid-angle.
     """
     ang = np.sort(np.angle(roots))
-    best = None
-    for shift in (0, 1):
-        s = np.roll(ang, -shift)
-        gap = (s[1::2] - s[0::2]) % (2 * np.pi)
-        if best is None or gap.sum() < best[0]:
-            best = (gap.sum(), s[0::2] + gap / 2)
-    return best[1]
+    pairs = [(s[0::2], (s[1::2] - s[0::2]) % (2 * np.pi))
+             for s in (ang, np.roll(ang, -1))]
+    start, gap = min(pairs, key=lambda pair: pair[1].sum())
+    return start + gap / 2
 
 
 def _node_density(theta, log_s, phi):

@@ -61,6 +61,15 @@ def test_diagonalization(rng):
         assert np.abs(D - np.diag(C.eigenvalues())).max() <= 1e-10
 
 
+def test_hermitian_tolerance():
+    assert CirculantMatrix([1, 0.1, 0.1]).hermitian
+    assert CirculantMatrix([2.0]).hermitian
+    assert not CirculantMatrix([1j]).hermitian
+    # asymmetric by 3e-7, far above the 1.1e-13 allowed; within allclose's
+    # default rtol only
+    assert not CirculantMatrix([1, 0.1, 0.1 * (1 + 3e-6)]).hermitian
+
+
 def test_completion_layout():
     T = ts.toeplitz_from_coeffs([4j, 1, 2, 3, 5j])
     C = ts.complete_toeplitz(T, 5)

@@ -135,6 +135,41 @@ def test_det_multiplicity_large_n(rng, n):
     assert ts.det_multiplicity(T) == n - r
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("extra", [-1, 3])
+def test_one_rank_rule(n, extra):
+    # the rank of the decomposition, det_multiplicity and the kernel nodes
+    # read one spectrum with one cut, so they add up at any rank; the nodes
+    # are uniform random, not separated
+    rng = np.random.default_rng([n, n + extra])
+    for _ in range(10):
+        T = random_positive_toeplitz(n, n + extra, rng)
+        m = ts.det_multiplicity(T)
+        assert ts.vandermonde_decompose(T).rank + m == n
+        if m:
+            assert ts.kernel_roots(T).size == n - m
+
+
+def test_one_rank_rule_hand_built(rng):
+    # rank 7 at n = 8 lifted by 1e-11 ||T|| I: nonsingular at RANK_CUT
+    T = rays_toeplitz(8, separated_angles(7, rng), rng.uniform(0.2, 2.0, 7))
+    T = T + ts.compress_symbol({0: 1e-11 * ts.operator_norm(T)}, 8)
+    assert ts.vandermonde_decompose(T).rank == 8
+    assert ts.det_multiplicity(T) == 0
+    with pytest.raises(ValueError, match="nonsingular"):
+        ts.kernel_roots(T)
+
+
+def test_small_tol_is_honoured(rng):
+    T = rays_toeplitz(8, separated_angles(5, rng), rng.uniform(0.2, 2.0, 5))
+    T = T - ts.compress_symbol({0: 1e-10 * ts.operator_norm(T)}, 8)
+    ts.vandermonde_decompose(T)
+    ts.kernel_roots(T)
+    for solve in (ts.vandermonde_decompose, ts.kernel_roots):
+        with pytest.raises(ValueError, match="positive"):
+            solve(T, tol=1e-12)
+
+
 def test_det_multiplicity_scale_invariance(rng):
     T = rays_toeplitz(4, separated_angles(2, rng), [1.0, 0.7])
     assert ts.det_multiplicity(T) == ts.det_multiplicity(100.0 * T) == 2

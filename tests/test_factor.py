@@ -40,6 +40,14 @@ def test_negative_input_rejected():
         ts.fejer_riesz_factorize(ts.fr_from_coeffs([0.8, 1.0, 0.8]))
 
 
+def test_small_tol_is_honoured():
+    # min of the circle function is -2e-10, about -1e-10 ||a||_1
+    a = ts.fr_from_coeffs([0.5, 1 - 2e-10, 0.5])
+    ts.fejer_riesz_factorize(a)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ts.fejer_riesz_factorize(a, tol=1e-12)
+
+
 def test_boundary_touching_zero():
     # (1 + cos)^2 touches zero: circle root of multiplicity 4
     a = ts.fr_from_coeffs([0.5, 1.0, 0.5])

@@ -35,6 +35,14 @@ def test_invalid_densities_rejected():
         ts.state_from_density(ts.fr_from_coeffs([0.1 * (1 + 3e-6), 1, 0.1]))
 
 
+def test_small_tol_is_honoured():
+    # min of the circle function is -2e-10, about -1e-10 ||a||_1
+    a = ts.fr_from_coeffs([0.5, 1 - 2e-10, 0.5])
+    ts.state_from_density(a)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ts.state_from_density(a, tol=1e-12)
+
+
 def test_states_positive_on_positive(rng):
     for _ in range(30):
         n = int(rng.integers(2, 8))
