@@ -129,6 +129,8 @@ def _cmd_distance(args):
 
 
 def _cmd_circulant(args):
+    if args.input is None and args.action != "tensor-rank":
+        raise _CliError("%s requires an input file" % args.action)
     if args.action == "complete":
         T = toeplitz_from_json(_load_json(args.input))
         if args.m is None:
@@ -223,8 +225,9 @@ def build_parser():
     q.set_defaults(func=_cmd_propagation)
 
     q = sub.add_parser("geometry3", help="n=3 boundary geometry checks")
-    q.add_argument("--check", action="store_true")
-    q.add_argument("--sample", default=None,
+    g = q.add_mutually_exclusive_group()
+    g.add_argument("--check", action="store_true")
+    g.add_argument("--sample", default=None,
                    choices=["cone-slice", "state-surface", "boundary"])
     q.add_argument("--count", type=int, default=500)
     q.set_defaults(func=_cmd_geometry3)

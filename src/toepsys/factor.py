@@ -3,8 +3,9 @@ Spectral factorization of nonnegative trigonometric polynomials.
 
 A palindromic sequence a with a(theta) >= 0 on the circle factors as
 a(theta) = |q(e^{i theta})|^2 for a polynomial q supported in 0..n-1.  The
-factor starts from the cepstrum: the causal part of log a gives the
-minimum-phase factor, reflected so that its roots lie in the closed disc.
+factor starts from the cepstrum: the power series of the exponential of
+the causal part of log a, sampled on a grid, gives the minimum-phase
+factor in O(n^2), reflected so that its roots lie in the closed disc.
 The coefficients are then refined by Levenberg-Marquardt on the
 coefficient residual, which restores the accuracy that the grid and the
 floor under the logarithm cost at circle roots.  The Laurent roots of a
@@ -166,12 +167,14 @@ def _cepstral_start(a, m):
     modulus on the circle and all its zeros in the disc.  The floor keeps
     the logarithm finite at circle zeros and moves circle roots
     ~sqrt(floor) into the disc; unlike companion eigenvalues it does not
-    scatter clustered roots.  The grid starts near _CEPSTRUM_START m
-    angles and doubles, up to about _CEPSTRUM_OVERSAMPLE m (at least
-    2**12), while the aliased upper half of the cepstrum is above
-    rounding: it decays geometrically without circle zeros and like 1 / k
-    near them, where the grid goes to the cap at once, since aliasing
-    would move roots of the start out of the disc, which the polish keeps.
+    scatter clustered roots.  p_0..p_{m-1} depend only on c_0..c_{m-1}, a
+    power series in O(m^2) (_exp_series), so the grid sets only the
+    cepstral coefficients.  It starts near _CEPSTRUM_START m angles and doubles, up to about
+    _CEPSTRUM_OVERSAMPLE m (at least 2**12), while the aliased upper half
+    of the cepstrum is above rounding: it decays geometrically without
+    circle zeros and like 1 / k near them, where the grid goes to the cap
+    at once, since aliasing would move roots of the start out of the disc,
+    which the polish keeps.
     """
     L, tail = 1 << int(np.ceil(np.log2(_CEPSTRUM_START * m))), np.inf
     half = a.resize(m).a[m - 1:]
@@ -185,10 +188,18 @@ def _cepstral_start(a, m):
             break
         # a tail that doubling does not cut fourfold decays like 1 / k: jump
         L = cap if tail > last / 4 else 2 * L
-    c[0] /= 2.0
-    c[L // 2] = 0.0
-    p = (np.fft.fft(np.exp(np.fft.ifft(c, L) * L)) / L)[:m]
-    return np.conj(p[::-1])
+    return np.conj(_exp_series(c, m)[::-1])
+
+
+def _exp_series(c, m):
+    """p_0..p_{m-1} of p = exp(f), f = c_0 / 2 + sum_{k>0} c_k z^k, by
+    p' = f' p: p_0 = exp(c_0 / 2), k p_k = sum_{j=1..k} j c_j p_{k-j}."""
+    jc = np.arange(m) * c[:m]
+    p = np.empty(m, dtype=complex)
+    p[0] = np.exp(c[0] / 2.0)
+    for k in range(1, m):
+        p[k] = jc[1:k + 1] @ p[k - 1::-1] / k
+    return p
 
 
 def fejer_riesz_factorize(a, tol=1e-9):

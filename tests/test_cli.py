@@ -110,6 +110,14 @@ def test_circulant_actions(tmp_path, capsys):
     assert json.loads(out)["rank"] == 9
 
 
+@pytest.mark.parametrize("args", [["complete", "--m", "5"],
+                                  ["compress", "--n", "2"], ["eigenvalues"]])
+def test_circulant_requires_input(args, capsys):
+    code, out, err = run_cli(["circulant"] + args, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "%s requires an input file" % args[0]
+
+
 def test_propagation(capsys):
     code, out, _ = run_cli(["propagation", "--toeplitz", "5"], capsys)
     assert code == 0 and json.loads(out)["prop"] == 2
@@ -124,6 +132,14 @@ def test_propagation(capsys):
 def test_propagation_flags_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["propagation", "--toeplitz", "3", "--circulant", "5"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "not allowed with" in err
+
+
+def test_geometry3_check_and_sample_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["geometry3", "--check", "--sample", "boundary"])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert "not allowed with" in err

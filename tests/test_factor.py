@@ -7,7 +7,8 @@ import toepsys as ts
 import toepsys.factor as factor
 from toepsys.factor import _shift_indices, _square_and_jacobian, laurent_roots
 
-from conftest import boundary_density, random_positive_fr
+from conftest import (boundary_density, pure_density, random_positive_fr,
+                      random_state)
 
 
 def test_one_plus_cos():
@@ -142,3 +143,51 @@ def test_residual_is_coefficient_l1_bound(rng):
     assert bound == pytest.approx(np.abs((a - f.squared_modulus()).a).sum())
     theta = np.linspace(0, 2 * np.pi, 4001)
     assert np.abs(a(theta) - np.abs(f(np.exp(1j * theta))) ** 2).max() <= bound
+
+
+def test_exp_series_exact():
+    # c_k = -2^-k / k, c_0 = 0 is log(1 - z / 2)
+    m = 24
+    k = np.arange(1, m)
+    c = np.concatenate([[0.0], -(0.5 ** k) / k]).astype(complex)
+    p = factor._exp_series(c, m)
+    assert np.abs(p - np.concatenate([[1.0, -0.5], np.zeros(m - 2)])).max() <= 1e-15
+
+
+def _fft_exp(c, m):
+    """The exponential on the cepstral grid, by three length-L FFT passes:
+    the independent reference for _exp_series (L = 2 (c.size - 1))."""
+    L = 2 * (c.size - 1)
+    c = c.copy()
+    c[0] /= 2.0
+    c[L // 2] = 0.0
+    return (np.fft.fft(np.exp(np.fft.ifft(c, L) * L)) / L)[:m]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_cepstral_start_matches_fft_exponential(n, monkeypatch):
+    refs, exp_series = [], factor._exp_series
+
+    def recorded(c, m):
+        refs.append(_fft_exp(c, m))
+        return exp_series(c, m)
+
+    monkeypatch.setattr(factor, "_exp_series", recorded)
+    rng = np.random.default_rng([16, n])
+    for _ in range(6):
+        a = random_positive_fr(n, rng, margin=float(rng.uniform(0.05, 1.0)))
+        start = factor._cepstral_start(a, n)
+        ref = np.conj(refs.pop()[::-1])
+        assert np.abs(start - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_factor_cone_state_densities(n):
+    # pure densities vanish at their n - 1 nodes, doubly; mixtures of two
+    # pure states are interior unless the nodes collide
+    rng = np.random.default_rng([17, n])
+    densities = [pure_density(n, rng) for _ in range(4)]
+    densities += [random_state(n, rng).density for _ in range(4)]
+    for a in densities:
+        f = ts.fejer_riesz_factorize(a)
+        assert ts.factorization_residual(a, f) <= 1e-10 * np.abs(a.a).sum()
