@@ -302,28 +302,42 @@ class CircleLayer:
         each cell where the bounds of p' do not exclude 0 and p moves by
         more than rounding, the zero of p' found by Newton when the bounds
         of p'' exclude 0, or else the centre, the halves being taken in
-        turn (to _DEPTH levels).  Cells on which p is bounded below by
-        ``below`` add only their edges.
+        turn (to _DEPTH levels).
+
+        With a finite ``below`` the least value is p's minimum (up to
+        rounding), or else p >= below.  Cells bounded below by ``below``
+        (on the grid by their Taylor bound, at every depth by
+        p(theta) - |p'(theta)| r + min(0, p'') r^2 / 2) add only their
+        edges, as do cells where p'' < 0.  Where p'' >= c > 0, Newton stops
+        once p(t) - p'(t)^2 / 2c >= below.  Both bounds take the rounding of
+        p (rnd) and of p' (rnd d) against them.
         """
         theta, r, C = self.theta, self.r, self.C
         shift = np.exp(-1j * np.arange(self.d + 1) * np.pi / self.L)
         pts, vals = [theta - r], [self.L * np.fft.irfft(self.w[0] * shift, self.L)]
+        rnd1, level = self.rnd * self.d, below + self.rnd
         if below < np.inf:
             low = self.bounds(C, r)[0] < below
             theta, r, C = theta[low], r[low], C[:, low]
         for depth in range(_DEPTH + 1 if theta.size else 0):
             (s_lo, s_hi), (c_lo, c_hi) = self.bounds(C, r, 1), self.bounds(C, r, 2)
             todo = (s_lo <= 0) & (s_hi >= 0) & (np.maximum(-s_lo, s_hi) * r > self.rnd)
+            if below < np.inf:
+                todo &= (c_hi >= 0) & (C[0] - (np.abs(C[1]) + rnd1) * r
+                                       + np.minimum(c_lo, 0) * r * r / 2 < level)
             one = todo & ((c_lo > 0) | (c_hi < 0))
             split = todo & ~one
-            t, lo, hi = theta[one], (theta - r)[one], (theta + r)[one]
+            t, lo, hi, two_c = theta[one], (theta - r)[one], (theta + r)[one], 2 * c_lo[one]
             c1, c2 = C[1, one], C[2, one]
             t = np.clip(t - c1 / np.where(c2 != 0, 2 * c2, np.inf), lo, hi)
             for _ in range(_NEWTON_STEPS):
-                # steps stop where p' is at rounding level or clipping holds
+                # steps stop where p' is at rounding level, clipping holds
+                # or the cell is certified above ``below``
                 D = self.rows(t, 3)
                 step = np.clip(t - D[1] / np.where(D[2] != 0, 2 * D[2], np.inf), lo, hi)
-                move = (np.abs(D[1]) > self.rnd * self.d) & (step != t)
+                move = (np.abs(D[1]) > rnd1) & (step != t)
+                if below < np.inf:
+                    move &= two_c * (D[0] - level) < (np.abs(D[1]) + rnd1) ** 2
                 if not move.any():
                     break
                 t = np.where(move, step, t)
@@ -345,12 +359,14 @@ def trig_minimum(a):
     """
     Minimum over theta of the real circle function of a palindromic sequence.
 
-    The least value at the points of CircleLayer.pieces, between which the
-    function is monotone, in the cells whose bound is below the least
-    sample of the grid: certified up to rounding, with the minimum
-    polished by Newton on the derivative.  Returns
-    ``(min_value, argmin_theta)``.
+    The least value of CircleLayer.pieces below the least sample of the
+    grid (plus rounding), which no other cell can reach: certified up to
+    rounding, with the minimum polished by Newton on the derivative.  Returns
+    ``(min_value, argmin_theta)``; raises ValueError unless ``a`` is
+    palindromic.
     """
+    if not a.palindromic:
+        raise ValueError("trig_minimum is only defined for palindromic sequences")
     lay = CircleLayer(a.a)
     pts, vals = lay.pieces(below=lay.C[0].min() + lay.rnd)
     j = int(np.argmin(vals))
@@ -362,11 +378,12 @@ def fr_is_positive(a, tol=1e-9):
     True iff the circle function of the palindromic sequence ``a`` satisfies
     min_theta a(theta) >= -tol * ||a||_1.
 
-    Certified both ways by a CircleLayer: cells whose Taylor bound is above
-    -tol ||a||_1 pass on the bound, and the others are refined until the
-    function is monotone between samples, so it rejects only on a sample
-    below the floor (a witness) and accepts only when there is none, up to
-    rounding of about 1e-16 L ||a||_1 on the L ~ 8n angles of the grid.
+    Certified both ways by CircleLayer.pieces with ``below`` at the floor
+    -tol ||a||_1: cells pass once a bound clears the floor, and the others
+    are refined until their least value is a sample, so it rejects only on
+    a sample below the floor (a witness) and accepts only when there is
+    none, up to rounding of about 1e-16 L ||a||_1 on the L ~ 8n angles of
+    the grid.
     """
     if not a.palindromic:
         raise ValueError("positivity is only defined for palindromic sequences")

@@ -124,10 +124,12 @@ def _interior_point(c, g, gap):
     1-D correlation at lag a (2N - 1) + b, one FFT of length >= (2N - 1)^2.
 
     Every iterate certifies both bounds.  Lower: c . x at the feasible
-    x / max(1, ||B(x)||).  Upper: ||W||_* >= tr(W B(x)) = c . x for every
-    feasible x when tr(W G_i) = c_i, which W = X+ - X- meets up to rounding
-    that a Gram projection removes.  A failed Cholesky factor, collapsed
-    steps or MAX_ITERATIONS end the solve with the best bounds so far.
+    x / ||B(x)|| on the boundary of the ball, above c . x when it is > 0
+    (B(x) = 0 only at x = 0).  Upper: ||W||_* >= tr(W B(x)) = c . x for
+    every feasible x when tr(W G_i) = c_i, which W = X+ - X- meets up to
+    rounding that a Gram projection removes.  A failed Cholesky factor,
+    collapsed steps or MAX_ITERATIONS end the solve with the best bounds so
+    far.
     Returns (lower, upper, x, W, iterations, converged).
     """
     N, m = (g.shape[0] + 1) // 2, g.shape[1]
@@ -200,7 +202,7 @@ def _interior_point(c, g, gap):
         Z = eye - sgn * Bx
         W = project(X[0] - X[1])
         lam = np.linalg.eigvalsh(np.stack([Bx, W]))
-        feas = x / max(1.0, float(np.abs(lam[0]).max()))
+        feas = x / (float(np.abs(lam[0]).max()) or 1.0)
         lb, ub = float(c @ feas), float(np.abs(lam[1]).sum())
         if lb > lower:
             lower, best_x = lb, feas
@@ -298,7 +300,8 @@ class _LevelSets:
         """
         The angles where alpha = a, one between each pair of consecutive
         points whose values straddle a, by Newton's method safeguarded by
-        bisection from the secant, until alpha - a is at rounding level.
+        bisection from the secant, until alpha - a is at rounding level;
+        and alpha' there.
         """
         above = self.vals > a
         i = np.nonzero(above[:-1] != above[1:])[0]
@@ -313,22 +316,42 @@ class _LevelSets:
             left, right = np.where(above, left, x), np.where(above, x, right)
             x = x - (v - a) / np.where(dv != 0, dv, np.inf)
             x = np.where((left <= x) & (x <= right), x, (left + right) / 2)
-        return x % (2 * np.pi)
+        return x % (2 * np.pi), dv
+
+    def polygon_root(self):
+        """
+        The root of F for the polygon through the samples: |{polygon < a}|
+        is piecewise linear in a, kinked at the sample values, with the
+        slopes that each segment adds between its two end values.
+        """
+        v0, v1 = self.vals[:-1], self.vals[1:]
+        lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
+        s = np.sort(v0)
+        rate = np.diff(self.pts) / np.where(hi > lo, hi - lo, np.inf)
+        slope = np.cumsum(np.bincount(np.searchsorted(s, lo), rate, s.size)
+                          - np.bincount(np.searchsorted(s, hi), rate, s.size))
+        G = np.r_[0.0, np.cumsum(slope[:-1] * np.diff(s))]
+        k = min(int(np.searchsorted(G, np.pi)), s.size - 1)
+        return float(s[k - 1] + (np.pi - G[k - 1]) * (s[k] - s[k - 1])
+                     / (G[k] - G[k - 1]))
 
     def integral(self, a):
         """
-        (f(a), F(a)): alpha - a keeps its sign between crossings, so each
-        piece is integrated exactly with the antiderivative and adds its
-        length to F with the opposite sign.
+        (f(a), F(a), F'(a)): alpha - a keeps its sign between crossings, so
+        each piece is integrated exactly with the antiderivative and adds
+        its length to F with the opposite sign; each crossing x moves F at
+        the rate 2 / |alpha'(x)| (floored at rounding).
         """
         k = np.arange(1, self.n)
-        pts = np.unique(np.r_[0.0, self.crossings(a), 2 * np.pi])
+        x, dv = self.crossings(a)
+        pts = np.unique(np.r_[0.0, x, 2 * np.pi])
         # integral of alpha - a from 0 to each point, all points at once
         prim = (np.real(self.d[self.n - 1]) - a) * pts + 2 * np.real(
             ((np.exp(1j * np.outer(pts, k)) - 1.0) / (1j * k)) @ self.d[self.n:])
         pieces = np.diff(prim)
         return (float(np.abs(pieces).sum()),
-                float(-(np.sign(pieces) * np.diff(pts)).sum()))
+                float(-(np.sign(pieces) * np.diff(pts)).sum()),
+                float(2 * (1.0 / np.maximum(np.abs(dv), self.lay.rnd)).sum()))
 
 
 def kantorovich(phi, psi, quad_tol=1e-8):
@@ -338,17 +361,18 @@ def kantorovich(phi, psi, quad_tol=1e-8):
     [0, 2 pi], alpha the difference of the cumulative distributions.
 
     alpha is itself a trigonometric polynomial, sampled once (see
-    _LevelSets), so f and its slope F are exact for each level a.  f is
-    convex and F is monotone, so the optimal level is a root of F, found
-    by regula falsi with the Illinois modification from the range of
-    alpha; F(lo) <= 0 <= F(hi) throughout.  By convexity
-    f(lo) - min f <= |F(lo)| (hi - lo) and likewise at hi, so the search
-    stops once
-    (hi - lo) max(|F(lo)|, |F(hi)|) <= quad_tol, or once hi - lo is down to
-    a few units in the last place, where the bound is at rounding level
-    (so quad_tol = 0 asks for the best level the arithmetic resolves), and
-    returns the smaller of f(lo), f(hi).  Raises RuntimeError if neither
-    holds within _LEVEL_STEPS slope evaluations.
+    _LevelSets), so f, its slope F and F' are exact for each level a.  f is
+    convex and F is monotone, so the optimal level is a root of F,
+    bracketed by F(lo) <= 0 <= F(hi) from the range of alpha.  The search
+    starts at F's root for the polygon through the samples, then takes
+    Newton steps a - F / F' inside the bracket while |F| at least halves,
+    else Illinois regula falsi steps, and bisects when two levels have not
+    halved the bracket.  By convexity f(lo) - min f <= |F(lo)| (hi - lo)
+    and likewise at hi, so it returns the smaller of f(lo), f(hi) once
+    either bound is at most quad_tol, or once hi - lo is down to a few
+    units in the last place, where the bounds are at rounding level (so
+    quad_tol = 0 asks for the best level the arithmetic resolves).  Raises
+    RuntimeError if neither holds within _LEVEL_STEPS slope evaluations.
     """
     if phi.n != psi.n:
         raise ValueError("size mismatch")
@@ -361,20 +385,22 @@ def kantorovich(phi, psi, quad_tol=1e-8):
     lo, hi = float(levels.vals.min()), float(levels.vals.max())
     d0 = float(np.real(levels.d[phi.n - 1]))
     f_lo, F_lo, f_hi, F_hi = 2 * np.pi * (d0 - lo), -2 * np.pi, 2 * np.pi * (hi - d0), 2 * np.pi
-    # Illinois: the secant uses weights that halve on a retained end; the
-    # first level is the median of the samples
+    # Illinois: the secant uses weights that halve on a retained end
     w_lo, w_hi, side = F_lo, F_hi, 0
-    a = float(np.median(levels.vals))
+    a, last, widths = levels.polygon_root(), 2 * np.pi, (np.inf, np.inf)
     for _ in range(_LEVEL_STEPS):
         width = hi - lo
-        if (width * max(-F_lo, F_hi) <= quad_tol
+        if (width * min(-F_lo, F_hi) <= quad_tol
                 or width <= 4 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))):
             return min(f_lo, f_hi)
-        if side != 0 or not lo < a < hi:
+        if 2 * width > widths[0]:
+            a = 0.5 * (lo + hi)
+        elif not lo < a < hi:
             a = hi - w_hi * width / (w_hi - w_lo)
         if not lo < a < hi:
             a = 0.5 * (lo + hi)
-        f_a, F_a = levels.integral(a)
+        widths = (widths[1], width)
+        f_a, F_a, dF_a = levels.integral(a)
         if F_a == 0.0:
             return f_a
         if F_a < 0:
@@ -385,6 +411,8 @@ def kantorovich(phi, psi, quad_tol=1e-8):
             hi, f_hi, F_hi, w_hi = a, f_a, F_a, F_a
             w_lo = w_lo / 2.0 if side > 0 else w_lo
             side = 1
+        # the Newton level, kept only while |F| at least halves
+        a, last = (a - F_a / dF_a if 2 * abs(F_a) <= last else np.nan), abs(F_a)
     raise RuntimeError(
         "kantorovich level search stopped at bound %.3g > quad_tol %.3g"
-        % ((hi - lo) * max(-F_lo, F_hi), quad_tol))
+        % ((hi - lo) * min(-F_lo, F_hi), quad_tol))

@@ -9,6 +9,9 @@ import pytest
 import toepsys
 from toepsys import metric
 from toepsys.cli import main
+from toepsys.core import fr_to_json
+
+from conftest import random_state
 
 
 def run_cli(args, capsys):
@@ -81,11 +84,13 @@ def test_distance_zero_quad_tol(tmp_path, capsys):
 
 
 def test_distance_not_converged(tmp_path, capsys, monkeypatch):
+    # an n = 4 pair: at n = 2 the first interior-point step is already
+    # optimal, so one iteration closes the gap
     monkeypatch.setattr(metric, "MAX_ITERATIONS", 1)
-    p = write_json(tmp_path / "phi.json",
-                   {"n": 2, "a": [[0, 0], [1, 0], [0, 0]]})
-    q = write_json(tmp_path / "psi.json",
-                   {"n": 2, "a": [[0.5, 0], [1, 0], [0.5, 0]]})
+    rng = np.random.default_rng(0)
+    phi, psi = random_state(4, rng), random_state(4, rng)
+    p = write_json(tmp_path / "phi.json", fr_to_json(phi.density))
+    q = write_json(tmp_path / "psi.json", fr_to_json(psi.density))
     code, out, err = run_cli(["distance", p, q], capsys)
     assert code == 1
     data = json.loads(out)

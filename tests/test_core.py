@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import toepsys as ts
-from toepsys.core import (fr_from_json, fr_to_json, toeplitz_from_json,
-                          toeplitz_to_json)
+from toepsys.core import (CircleLayer, fr_from_json, fr_to_json,
+                          toeplitz_from_json, toeplitz_to_json)
 
 from conftest import (boundary_density, dense_samples, pure_density,
-                      random_hermitian_toeplitz, random_palindromic)
+                      random_hermitian_toeplitz, random_palindromic,
+                      random_positive_fr, random_state)
 
 
 def test_dense_layout():
@@ -135,6 +136,39 @@ def test_fr_is_positive_rejects_dips(rng, n, dip):
         c = a.a.copy()
         c[n - 1] -= dip * np.abs(a.a).sum()
         assert not ts.fr_is_positive(ts.fr_from_coeffs(c))
+
+
+def test_trig_minimum_rejects_non_palindromic():
+    # [5, 1, 0.2] is not a real circle function; its minimum is undefined
+    with pytest.raises(ValueError):
+        ts.trig_minimum(ts.fr_from_coeffs([5.0, 1.0, 0.2]))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
+def test_below_mode_matches_full_pieces(rng, n):
+    # below mode stops at its certificates; its least value is the least
+    # value of the full pieces up to the layer's rounding, and the verdict
+    # on each density and on its copy lowered by 2 tol ||a||_1 is the full
+    # pieces' verdict: a rejection when the density touches 0, at a generic
+    # minimum, a circle root (there are none below n = 8) or a pure state's
+    # nodes
+    tol = 1e-9
+    for a, touches in ((random_positive_fr(n, rng), False),
+                       (random_positive_fr(n, rng, margin=0.0), True),
+                       (boundary_density(n, rng), n >= 8),
+                       (pure_density(n, rng), True),
+                       (random_state(n, rng).density, False)):
+        for dip in (0.0, 2 * tol):
+            c = a.a.copy()
+            c[n - 1] -= dip * np.abs(a.a).sum()
+            b = ts.fr_from_coeffs(c)
+            lay = CircleLayer(c)
+            least = lay.pieces()[1].min()
+            assert abs(ts.trig_minimum(b)[0] - least) <= 2 * lay.rnd
+            verdict = ts.fr_is_positive(b, tol=tol)
+            assert verdict == bool(least >= -tol * np.abs(c).sum())
+            if dip == 0.0 or touches:
+                assert verdict == (dip == 0.0)
 
 
 def test_trig_minimum_matches_dense_grid(rng):

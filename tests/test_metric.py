@@ -225,9 +225,57 @@ def test_kantorovich_matches_grid_minimum(rng, n):
 
 
 def test_kantorovich_zero_quad_tol(rng):
-    # the search stops once the bracket is at float resolution
-    for n in (2, 5, 12):
+    # the search stops once the bracket is at float resolution, so with
+    # quad_tol = 0 it returns min f to rounding; the default quad_tol stops
+    # certify f(a) - min f <= 1e-8
+    for n in range(2, 13):
+        for _ in range(4):
+            phi, psi = random_state(n, rng), random_state(n, rng)
+            exact = ts.kantorovich(phi, psi, quad_tol=0.0)
+            assert exact <= ts.kantorovich(phi, psi) + 1e-14
+            assert ts.kantorovich(phi, psi) - exact <= 1e-8
+
+
+def rotate(state, t):
+    # R_t: a_k -> a_k e^{-ikt}, the density moved by t around the circle
+    n = state.n
+    k = np.arange(-n + 1, n)
+    return ts.state_from_density(
+        ts.fr_from_coeffs(state.density.a * np.exp(-1j * k * t)))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_rotation_is_an_isometry(rng, n):
+    # rotation commutes with D, so both distances are invariant under it
+    # and move a state by at most the arc length |t|
+    gap, quad_tol = 1e-6, 1e-8
+    for _ in range(2):
         phi, psi = random_state(n, rng), random_state(n, rng)
-        exact = ts.kantorovich(phi, psi, quad_tol=0.0)
-        assert exact <= ts.kantorovich(phi, psi) + 1e-14
-        assert ts.kantorovich(phi, psi) - exact <= 1e-8
+        t = float(rng.uniform(-np.pi, np.pi))
+        c = ts.connes_distance(phi, psi, gap=gap)
+        cr = ts.connes_distance(rotate(phi, t), rotate(psi, t), gap=gap)
+        assert c.converged and cr.converged
+        assert abs(c.value - cr.value) <= gap
+        k = ts.kantorovich(phi, psi, quad_tol=quad_tol)
+        kr = ts.kantorovich(rotate(phi, t), rotate(psi, t), quad_tol=quad_tol)
+        assert abs(k - kr) <= quad_tol
+        moved = rotate(phi, t)
+        assert ts.connes_distance(phi, moved, gap=gap).value <= abs(t)
+        assert ts.kantorovich(phi, moved, quad_tol=quad_tol) <= abs(t) + quad_tol
+
+
+def test_kantorovich_level_next_to_critical_value():
+    # at this pair the optimal level lies 3e-8 of alpha's range from a local
+    # extremum of alpha, where F' blows up; the search still terminates
+    rng = np.random.default_rng([264, 8])
+    phi, psi = random_state(8, rng), random_state(8, rng)
+    levels = metric._LevelSets((phi.density - psi.density).a)
+    v = levels.vals[:-1]
+    extrema = v[(v - np.roll(v, 1)) * (v - np.roll(v, -1)) > 0]
+    exact = ts.kantorovich(phi, psi, quad_tol=0.0)
+    lo, hi = v.min(), v.max()
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if levels.integral(mid)[1] < 0 else (lo, mid)
+    assert np.abs(extrema - lo).min() <= 1e-7 * (v.max() - v.min())
+    assert exact - 1e-14 <= ts.kantorovich(phi, psi) <= exact + 1e-8
