@@ -228,17 +228,20 @@ class RoundingStop:
     """
     Stop rule of a least-squares iteration whose residual bottoms out at
     rounding.  Called with the residual norm of each new iterate, it
-    answers True once the norm is at ``floor``, or once it is within 10^3
-    times the floor and has failed to halve on two consecutive calls:
-    later steps only wander along near-null directions of the Jacobian.
+    answers True once the norm is at ``floor``, or once the least norm seen
+    so far is within 10^3 times the floor and two consecutive calls have
+    failed to halve it: later steps only wander along near-null directions
+    of the Jacobian.  A norm above the least counts as a stall, so an
+    iteration that bounces near its best stops as one that creeps does.
     """
 
     def __init__(self, floor):
-        self.floor, self.last, self.stalls = floor, np.inf, 0
+        self.floor, self.best, self.stalls = floor, np.inf, 0
 
     def __call__(self, err):
-        stalled = self.last / 2 < err <= 1e3 * self.floor
-        self.stalls, self.last = (self.stalls + 1 if stalled else 0), err
+        best = min(self.best, err)
+        stalled = err > self.best / 2 and best <= 1e3 * self.floor
+        self.stalls, self.best = (self.stalls + 1 if stalled else 0), best
         return err <= self.floor or self.stalls >= 2
 
 

@@ -130,7 +130,10 @@ def _refine(T, angles):
     be nonnegative, and keeps the best iterate rather than the last;
     near-coincident nodes make the Jacobian rank deficient, which lstsq
     absorbs.  It stops by ``core.RoundingStop`` on the max-abs residual err,
-    with floor 8 n eps max|t_k|; the best iterate is still returned.
+    with floor 8 n eps max|t_k|: at the floor, or once the best err is
+    within 10^3 times it and two steps in a row fail to halve that best,
+    whether err creeps down or bounces above it.  The best iterate is
+    returned.
     Transient negative weights are clamped at the end; the caller's
     reconstruction check is the real guard.
     """

@@ -9,7 +9,12 @@ algebra.
 
 Because the system is unital, S^1 <= S^2 <= ... is a nested chain, and S^k
 is an algebra exactly when S^{k+1} = S^k.  The spans are computed once, as
-one chain of orthonormal bases that grows until it stops growing.
+one chain of orthonormal bases that grows until it stops growing.  Each
+step decides its rank on the product rows that can add a direction: rows
+of norm at most tol / sqrt(m), m the number of products, are dropped
+before and after the projection off the span, which moves a decision only
+for a singular value in (tol, sqrt(2) tol].  A step that reaches
+dimension N^2 ends the chain with the standard basis of M_N.
 
 A spanning set of real matrices (diagonals, cyclic shifts, matrix units) is
 kept and multiplied in float64, any other in complex128.  Dimensions do not
@@ -71,11 +76,24 @@ def circulant_system(m):
 
 def _off_span(P, Q):
     """
-    The part R of the rows of P off the span of the orthonormal rows Q, and
-    the threshold RANK_TOL max(1, ||P||_F) at or below which ||R||_F, a
-    bound on every singular value of R, adds no direction.
+    The part R = P - P Q* Q of the rows of P off the span of the orthonormal
+    rows Q, and the threshold tol = RANK_TOL max(1, ||P||_F) at or below
+    which ||R||_F, a bound on every singular value of R, adds no direction.
+    Rows of P of norm <= tol / sqrt(m), m the number of rows (exact zeros
+    such as E_ij E_kl with j != k), are dropped before the projection;
+    ``_chain`` says why that moves a decision only in (tol, sqrt(2) tol].
     """
-    return P - (P @ Q.conj().T) @ Q, RANK_TOL * max(1.0, np.linalg.norm(P))
+    sq = _row_norms_sq(P)
+    tol = RANK_TOL * max(1.0, float(sq.sum())) ** 0.5
+    cut = tol * tol / sq.size
+    if sq.min() <= cut:  # no copy when all stay, as for the circulants
+        P = P[sq > cut]
+    return P - (P @ Q.conj().T) @ Q, tol
+
+
+def _row_norms_sq(X):
+    """Squared Euclidean norms of the rows of X."""
+    return np.einsum("ij,ij->i", X.conj(), X).real
 
 
 def _chain(sys, k_max):
@@ -86,6 +104,18 @@ def _chain(sys, k_max):
     Stops after k_max bases, or earlier once the chain is stationary: when
     S^{k+1} = S^k or dim S^k = N^2.  Since S^{k+1} = S^k + N_k S with N_k
     the directions new at step k, only those are multiplied by the basis.
+
+    The rank of a step is one SVD of the residual off the span, on the rows
+    that can add a direction: with m the number of products, rows of norm
+    <= tol / sqrt(m) are dropped, of the products by ``_off_span`` and then
+    of the residual.  A row's part off the span is no longer than the row,
+    so the dropped rows E of the full residual R have ||E||_F <= tol, and
+    the kept rows R' satisfy R* R = R'* R' + E* E.  Hence
+    s_i(R') <= s_i(R) <= sqrt(s_i(R')^2 + tol^2) (interlacing and Weyl),
+    and a decision s_i > tol differs from the one on R only for a singular
+    value s_i(R) in (tol, sqrt(2) tol].  A step whose new rank brings the
+    dimension to N^2 appends the standard basis of M_N, with no
+    re-orthogonalization, and ends the chain.
     """
     N = sys.N
     Q = sys.span
@@ -97,9 +127,13 @@ def _chain(sys, k_max):
         R, tol = _off_span(P, Q)
         if np.linalg.norm(R) <= tol:
             break
+        R = R[_row_norms_sq(R) > tol * tol / P.shape[0]]
         _, s, vh = np.linalg.svd(R, full_matrices=False)
         new = vh[s > tol]
         if not new.shape[0]:
+            break
+        if Q.shape[0] + new.shape[0] >= N * N:
+            chain.append(np.eye(N * N, dtype=Q.dtype))
             break
         new = np.linalg.qr((new - (new @ Q.conj().T) @ Q).T)[0].T
         Q = np.vstack([Q, new])

@@ -66,6 +66,15 @@ def test_rounding_stop():
     stop = ts.core.RoundingStop(1e-15)
     assert not stop(5e-13) and not stop(2e-13) and not stop(1.5e-13)
     assert stop(1e-15)
+    # a bounce above the least norm is a stall once that least is within
+    # 10^3 of the floor, and a later norm must halve the least, not the last
+    stop = ts.core.RoundingStop(1e-15)
+    assert not stop(1e-12) and not stop(1e-10) and stop(6e-13)
+    stop = ts.core.RoundingStop(1e-15)
+    assert not stop(1e-12) and not stop(1e-10) and not stop(4e-13)
+    # bounces while the least is far above the floor never stop
+    stop = ts.core.RoundingStop(1e-15)
+    assert not any(stop(e) for e in (1e-9, 1e-6, 1e-9, 1e-6, 9e-10))
 
 
 def test_circle_function_values():

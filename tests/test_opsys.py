@@ -44,8 +44,28 @@ def test_full_matrix_algebra():
 
 
 def test_toeplitz_propagation():
-    for n in range(2, 13):
+    # n = 16 is timed in test_toeplitz_propagation_n16_is_fast
+    for n in range(2, 16):
         assert ts.propagation_number(ts.toeplitz_system(n)) == 2
+
+
+def _tensor_matrix_units(sys, k):
+    """A spanning set of S (x) M_k: the A (x) E_ij with A the ``span`` rows
+    of S and E_ij the matrix units of M_k."""
+    units = np.eye(k * k).reshape(-1, k, k)
+    return [np.kron(A, E) for A in sys.span.reshape(-1, sys.N, sys.N)
+            for E in units]
+
+
+@pytest.mark.parametrize("build, size, prop",
+                         [(ts.toeplitz_system, n, 2) for n in range(2, 9)]
+                         + [(ts.circulant_system, m, 1) for m in (3, 5, 7)])
+def test_propagation_is_stable(build, size, prop):
+    """The propagation number is invariant under stable equivalence:
+    prop(S (x) M_k) = prop(S)."""
+    sys = build(size)
+    assert ts.propagation_number(sys) == prop
+    assert ts.propagation_number(ts.MatrixSystem(_tensor_matrix_units(sys, 2))) == prop
 
 
 def _tolerance_units(N, w, cyclic=False):
@@ -68,16 +88,19 @@ def _tolerance_system(N, w, cyclic=False):
 
 
 @pytest.mark.parametrize("N, w, expected",
-                         [(4, 1, 3), (6, 1, 5), (8, 1, 7), (9, 2, 4), (10, 1, 9)])
+                         [(4, 1, 3), (6, 1, 5), (8, 1, 7), (9, 2, 4), (10, 1, 9),
+                          (16, 1, 15)])
 def test_band_tolerance_propagation(N, w, expected):
     assert expected == -(-(N - 1) // w)
-    assert ts.propagation_number(_tolerance_system(N, w)) == expected
+    assert ts.propagation_number(_tolerance_system(N, w), max_k=expected) == expected
 
 
-@pytest.mark.parametrize("N, w, expected", [(8, 1, 4), (10, 2, 3), (11, 1, 5)])
+@pytest.mark.parametrize("N, w, expected",
+                         [(8, 1, 4), (10, 2, 3), (11, 1, 5), (16, 2, 4)])
 def test_cyclic_tolerance_propagation(N, w, expected):
     assert expected == -(-(N // 2) // w)
-    assert ts.propagation_number(_tolerance_system(N, w, cyclic=True)) == expected
+    assert ts.propagation_number(_tolerance_system(N, w, cyclic=True),
+                                 max_k=expected) == expected
 
 
 def test_propagation_cap_and_span_dims():
@@ -129,3 +152,55 @@ def test_span_dtype_follows_spanning_set():
             np.array([[0, -1j], [1j, 0]])]
     assert ts.MatrixSystem(herm).span.dtype == np.complex128
     assert ts.propagation_number(ts.MatrixSystem(herm)) == 2
+
+
+def _reference_dims(sys, k_max):
+    """dim S^1, dim S^2, ... up to k_max terms, by the chain without row
+    filtering: one SVD of the whole residual at every step, then a QR."""
+    N, Q = sys.N, sys.span
+    basis, new = Q.reshape(-1, N, N), Q
+    dims = [Q.shape[0]]
+    while len(dims) < k_max and Q.shape[0] < N * N:
+        P = np.matmul(new.reshape(-1, 1, N, N), basis).reshape(-1, N * N)
+        R = P - (P @ Q.conj().T) @ Q
+        tol = ts.opsys.RANK_TOL * max(1.0, np.linalg.norm(P))
+        if np.linalg.norm(R) <= tol:
+            break
+        _, s, vh = np.linalg.svd(R, full_matrices=False)
+        new = vh[s > tol]
+        if not new.shape[0]:
+            break
+        new = np.linalg.qr((new - (new @ Q.conj().T) @ Q).T)[0].T
+        Q = np.vstack([Q, new])
+        dims.append(Q.shape[0])
+    return dims + [dims[-1]] * (k_max - len(dims))
+
+
+def _random_hermitian_sets():
+    for seed, (N, b) in enumerate(((3, 1), (4, 2), (5, 2), (6, 3))):
+        rng = np.random.default_rng([17, seed])
+        H = rng.standard_normal((b, N, N)) + 1j * rng.standard_normal((b, N, N))
+        # a sparse pattern keeps some products in the span and some zero
+        H *= rng.random((b, N, N)) < 0.4
+        yield "hermitian%d-%d" % (N, b), [np.eye(N)] + list(H + H.conj().transpose(0, 2, 1))
+
+
+def _oracle_systems():
+    for name, mats in _real_spanning_sets():
+        yield name, mats
+        yield name + "-phase", [np.exp(1j * np.pi / 7) * M for M in mats]
+    yield "toeplitz3xM2", _tensor_matrix_units(ts.toeplitz_system(3), 2)
+    yield "band6-1xM2", _tensor_matrix_units(_tolerance_system(6, 1), 2)
+    yield from _random_hermitian_sets()
+
+
+@pytest.mark.parametrize("mats", [pytest.param(mats, id=name)
+                                  for name, mats in _oracle_systems()])
+def test_rank_decisions_match_reference_chain(mats):
+    """Dropping product rows of norm <= tol / sqrt(m) moves no rank decision:
+    every dim S^k up to prop + 1 equals the unfiltered chain's."""
+    sys = ts.MatrixSystem(mats)
+    prop = ts.propagation_number(sys, max_k=16)
+    assert prop <= 16
+    dims = [ts.product_span_dim(sys, k) for k in range(1, prop + 2)]
+    assert dims == _reference_dims(sys, prop + 1)
