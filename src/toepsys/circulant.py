@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import ToeplitzMatrix, _self_adjoint
+from .core import ToeplitzMatrix, _from_json, _self_adjoint, json_pairs
 
 
 class CirculantMatrix:
@@ -128,12 +128,8 @@ def tensor_map_rank(n):
 
 def circulant_to_json(C):
     """JSON-ready dict {"m": ..., "c": [[re, im], ...]}."""
-    return {"m": C.m, "c": [[float(z.real), float(z.imag)] for z in C.c]}
+    return {"m": C.m, "c": json_pairs(C.c)}
 
 
 def circulant_from_json(obj):
-    c = np.array([complex(re, im) for re, im in obj["c"]])
-    C = CirculantMatrix(c)
-    if C.m != int(obj["m"]):
-        raise ValueError("inconsistent size: m=%s but %d coefficients" % (obj["m"], c.size))
-    return C
+    return _from_json(obj, "m", "c", CirculantMatrix)

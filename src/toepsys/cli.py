@@ -14,7 +14,8 @@ import numpy as np
 
 from . import circulant as circ
 from . import decompose, factor, geometry3, metric, opsys, states
-from .core import fr_from_json, fr_to_json, toeplitz_from_json, toeplitz_to_json
+from .core import (fr_from_json, fr_to_json, json_pairs, toeplitz_from_json,
+                   toeplitz_to_json)
 
 
 def _format(value):
@@ -77,7 +78,7 @@ class _CliError(Exception):
 def _cmd_factorize(args):
     a = fr_from_json(_load_json(args.input))
     f = factor.fejer_riesz_factorize(a, tol=args.tol)
-    _emit({"q": [[float(z.real), float(z.imag)] for z in f.q],
+    _emit({"q": json_pairs(f.q),
            "residual": factor.factorization_residual(a, f)}, args.out)
     return 0
 
@@ -145,9 +146,7 @@ def _cmd_circulant(args):
         _emit(toeplitz_to_json(T), args.out)
     elif args.action == "eigenvalues":
         C = circ.circulant_from_json(_load_json(args.input))
-        ev = C.eigenvalues()
-        _emit({"eigenvalues": [[float(z.real), float(z.imag)] for z in ev]},
-              args.out)
+        _emit({"eigenvalues": json_pairs(C.eigenvalues())}, args.out)
     elif args.action == "tensor-rank":
         if args.n is None:
             raise _CliError("tensor-rank requires --n")

@@ -412,27 +412,56 @@ def extreme_ray(lam, n):
     return ToeplitzMatrix(lam ** k / n)
 
 
+def json_pairs(values):
+    """Complex values as a JSON-ready list [[re, im], ...]."""
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def _from_json(obj, size, key, build):
+    """
+    build(values) for a JSON object {size: s, key: [[re, im], ...]}, checked
+    to have s equal to the built object's attribute ``size``.  ValueError
+    names a missing key or the first entry that is not a pair of finite
+    numbers.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object with keys %r and %r"
+                         % (size, key))
+    for k in (size, key):
+        if k not in obj:
+            raise ValueError("missing key %r" % k)
+    if not isinstance(obj[key], list):
+        raise ValueError("%r must be a list of [re, im] pairs" % key)
+    values = []
+    for i, entry in enumerate(obj[key]):
+        try:
+            re, im = entry
+            values.append(complex(re, im))
+            if not np.isfinite(values[-1]):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError("%s[%d] is not a [re, im] pair of finite "
+                             "numbers: %r" % (key, i, entry)) from None
+    M = build(np.array(values))
+    if getattr(M, size) != obj[size]:
+        raise ValueError("inconsistent size: %s=%r but %d coefficients"
+                         % (size, obj[size], len(values)))
+    return M
+
+
 def toeplitz_to_json(T):
     """JSON-ready dict {"n": ..., "t": [[re, im], ...]} in ascending order."""
-    return {"n": T.n, "t": [[float(z.real), float(z.imag)] for z in T.t]}
+    return {"n": T.n, "t": json_pairs(T.t)}
 
 
 def toeplitz_from_json(obj):
-    t = np.array([complex(re, im) for re, im in obj["t"]])
-    T = ToeplitzMatrix(t)
-    if T.n != int(obj["n"]):
-        raise ValueError("inconsistent size: n=%s but %d coefficients" % (obj["n"], t.size))
-    return T
+    return _from_json(obj, "n", "t", ToeplitzMatrix)
 
 
 def fr_to_json(a):
     """JSON-ready dict {"n": ..., "a": [[re, im], ...]} in ascending order."""
-    return {"n": a.n, "a": [[float(z.real), float(z.imag)] for z in a.a]}
+    return {"n": a.n, "a": json_pairs(a.a)}
 
 
 def fr_from_json(obj):
-    a = np.array([complex(re, im) for re, im in obj["a"]])
-    el = FRElement(a)
-    if el.n != int(obj["n"]):
-        raise ValueError("inconsistent size: n=%s but %d coefficients" % (obj["n"], a.size))
-    return el
+    return _from_json(obj, "n", "a", FRElement)

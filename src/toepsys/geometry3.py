@@ -10,8 +10,10 @@ sigma between pairs of curve points.  Dually, the extreme states are the
 two-torus family epsilon (a Moebius strip after the symmetry
 epsilon(x, y) = epsilon(y, x)), the boundary of the state space is swept by
 the segments beta, and the whole boundary lies inside the zero set of the
-degree six discriminant.  Functions of points and angles work elementwise
-on arrays; scalar input gives Python floats.
+degree six polynomial d = -1/256 times the discriminant of the support
+quartic, the quartic whose positivity on the line characterizes the state
+space.  Functions of points and angles work elementwise on arrays; scalar
+input gives Python floats.
 """
 
 import numpy as np
@@ -19,63 +21,9 @@ import numpy as np
 from .core import ToeplitzMatrix, extreme_ray
 from .states import pure_state_from_angles
 
-#: d(W, X, Y, Z) as (coefficient, (pW, pX, pY, pZ)) terms
-DISCRIMINANT_TERMS = [
-    (1, (6, 0, 0, 0)),
-    (3, (4, 2, 0, 0)),
-    (15, (4, 0, 2, 0)),
-    (-18, (4, 0, 1, 0)),
-    (-12, (4, 0, 0, 2)),
-    (-1, (4, 0, 0, 0)),
-    (108, (3, 1, 1, 1)),
-    (-36, (3, 1, 0, 1)),
-    (3, (2, 4, 0, 0)),
-    (-78, (2, 2, 2, 0)),
-    (84, (2, 2, 0, 2)),
-    (-2, (2, 2, 0, 0)),
-    (48, (2, 0, 4, 0)),
-    (-144, (2, 0, 3, 0)),
-    (96, (2, 0, 2, 2)),
-    (80, (2, 0, 2, 0)),
-    (-144, (2, 0, 1, 2)),
-    (16, (2, 0, 1, 0)),
-    (48, (2, 0, 0, 4)),
-    (80, (2, 0, 0, 2)),
-    (-108, (1, 3, 1, 1)),
-    (-36, (1, 3, 0, 1)),
-    (-288, (1, 1, 2, 1)),
-    (-288, (1, 1, 0, 3)),
-    (32, (1, 1, 0, 1)),
-    (1, (0, 6, 0, 0)),
-    (15, (0, 4, 2, 0)),
-    (18, (0, 4, 1, 0)),
-    (-12, (0, 4, 0, 2)),
-    (-1, (0, 4, 0, 0)),
-    (48, (0, 2, 4, 0)),
-    (144, (0, 2, 3, 0)),
-    (96, (0, 2, 2, 2)),
-    (80, (0, 2, 2, 0)),
-    (144, (0, 2, 1, 2)),
-    (-16, (0, 2, 1, 0)),
-    (48, (0, 2, 0, 4)),
-    (80, (0, 2, 0, 2)),
-    (-64, (0, 0, 6, 0)),
-    (-192, (0, 0, 4, 2)),
-    (128, (0, 0, 4, 0)),
-    (-192, (0, 0, 2, 4)),
-    (256, (0, 0, 2, 2)),
-    (-64, (0, 0, 2, 0)),
-    (-64, (0, 0, 0, 6)),
-    (128, (0, 0, 0, 4)),
-    (-64, (0, 0, 0, 2)),
-]
-
-_DISC_COEFFS = np.array([c for c, _ in DISCRIMINANT_TERMS], dtype=float)
-_DISC_POWERS = np.array([p for _, p in DISCRIMINANT_TERMS])
-# partial derivative i: coefficients c p_i and exponents p - e_i
-_DISC_GRAD_COEFFS = _DISC_COEFFS * _DISC_POWERS.T
-_DISC_GRAD_POWERS = np.maximum(
-    _DISC_POWERS[None] - np.eye(4, dtype=int)[:, None], 0)
+# d(a, ..., e)/d(W, X, Y, Z) for the support quartic's coefficients
+_QUARTIC_JACOBIAN = np.array([[0, -1, -1, 0], [2, 0, 0, -4], [0, 0, 6, 0],
+                              [2, 0, 0, 4], [0, 1, -1, 0]], dtype=float)
 # ToeplitzMatrix.dense's rule M[k, l] = t[k - l] on the diagonals t_-2..t_2
 _K_MINUS_L = np.subtract.outer(np.arange(3), np.arange(3)) + 2
 
@@ -203,49 +151,50 @@ def surface_residual(X, Y, Z):
             + 16 * Y * Y * Z2 + 16 * Z2 * Z2 - 16 * Z2)
 
 
-def _polynomial(coeffs, powers, v):
-    """sum_t coeffs[t] prod_i v_i ** powers[t, i] at stacked coordinates v
-    of shape (4, ...), the powers v_i^k, k <= 6, by repeated products."""
-    v = np.asarray(v, dtype=float)
-    table = np.ones((4, 7) + v.shape[1:])
-    for k in range(1, 7):
-        table[:, k] = table[:, k - 1] * v
-    monomials = table[0, powers[:, 0]]
-    for i in range(1, 4):
-        monomials = monomials * table[i, powers[:, i]]
-    return np.tensordot(coeffs, monomials, axes=1)
+def support_quartic(q):
+    """
+    Coefficients (a, b, c, d, e), highest degree first, of the real quartic
+    whose positivity on the line characterizes membership of the functional
+    in the state space:
+    (1-X-Y) t^4 + (2W-4Z) t^3 + (6Y+2) t^2 + (2W+4Z) t + (X-Y+1).
+    Shape (5, ...) on coordinate arrays.
+    """
+    W, X, Y, Z = q.as_tuple()
+    return np.array(np.broadcast_arrays(1 - X - Y, 2 * W - 4 * Z, 6 * Y + 2,
+                                        2 * W + 4 * Z, X - Y + 1))
 
 
-def _discriminant_values(v):
-    """The boundary polynomial at stacked coordinates v of shape (4, ...)."""
-    return _polynomial(_DISC_COEFFS, _DISC_POWERS, v)
-
-
-def _grad_discriminant_values(v):
-    """Its gradient, shape (4, ...), at stacked coordinates v."""
-    return np.array([_polynomial(c, p, v)
-                     for c, p in zip(_DISC_GRAD_COEFFS, _DISC_GRAD_POWERS)])
+def _invariants(a, b, c, d, e):
+    """The invariants I and J of the quartic a t^4 + b t^3 + c t^2 + d t + e."""
+    return (12 * a * e - 3 * b * d + c * c,
+            72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e
+            - 2 * c ** 3)
 
 
 def discriminant(q):
-    """Value of the degree six boundary polynomial at state coordinates q."""
-    return _real(_discriminant_values(np.broadcast_arrays(*q.as_tuple())))
+    """
+    The degree six boundary polynomial (J^2 - 4 I^3) / 6912 at state
+    coordinates q, with I and J the invariants of support_quartic(q): -1/256
+    times the quartic's discriminant (4 I^3 - J^2) / 27.
+    """
+    I, J = _invariants(*support_quartic(q))
+    return _real((J * J - 4 * I ** 3) / 6912)
 
 
 def grad_discriminant(q):
-    """Analytic gradient of the boundary polynomial at state coordinates q."""
-    return _grad_discriminant_values(np.broadcast_arrays(*q.as_tuple()))
-
-
-def support_quartic(q):
     """
-    Coefficients, highest degree first, of the real quartic whose positivity
-    on the line characterizes membership of the functional in the state
-    space: (1-X-Y) t^4 + (2W-4Z) t^3 + (6Y+2) t^2 + (2W+4Z) t + (X-Y+1).
+    Analytic gradient of the boundary polynomial at state coordinates q,
+    shape (4, ...): (2 J dJ - 12 I^2 dI) / 6912 in the quartic's
+    coefficients, mapped back through their constant Jacobian.
     """
-    W, X, Y, Z = q.as_tuple()
-    return np.array([1 - X - Y, 2 * W - 4 * Z, 6 * Y + 2, 2 * W + 4 * Z,
-                     X - Y + 1])
+    a, b, c, d, e = support_quartic(q)
+    I, J = _invariants(a, b, c, d, e)
+    dI = np.array([12 * e, -3 * d, 2 * c, -3 * b, 12 * a])
+    dJ = np.array([72 * c * e - 27 * d * d, 9 * c * d - 54 * b * e,
+                   72 * a * e + 9 * b * d - 6 * c * c, 9 * b * c - 54 * a * d,
+                   72 * a * c - 27 * b * b])
+    return np.tensordot(_QUARTIC_JACOBIAN.T,
+                        (2 * J * dJ - 12 * I * I * dI) / 6912, axes=1)
 
 
 def sample_surfaces(kind, count, seed=42, slice_d=-0.4):

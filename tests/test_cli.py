@@ -174,6 +174,33 @@ def test_malformed_json(tmp_path, capsys):
     assert "position" in info
 
 
+@pytest.mark.parametrize("args, size, key", [
+    (["decompose", "IN"], "n", "t"), (["factorize", "IN"], "n", "a"),
+    (["circulant", "compress", "IN", "--n", "1"], "m", "c")])
+@pytest.mark.parametrize("shape", ["missing size", "missing entries",
+                                   "not pairs", "short pair", "not finite",
+                                   "not a list"])
+def test_wrong_json_shape(tmp_path, capsys, args, size, key, shape):
+    # valid JSON of the wrong shape is an error message, not a traceback
+    obj, message = {
+        "missing size": ({key: [[1, 0]]}, "missing key %r" % size),
+        "missing entries": ({size: 1}, "missing key %r" % key),
+        "not pairs": ({size: 2, key: [1, 2, 3]},
+                      "%s[0] is not a [re, im] pair of finite numbers: 1"
+                      % key),
+        "short pair": ({size: 1, key: [[1, 0], [2], [1, 0]]},
+                       "%s[1] is not a [re, im] pair" % key),
+        "not finite": ({size: 1, key: [[float("nan"), 0]]},
+                       "%s[0] is not a [re, im] pair of finite numbers: "
+                       "[nan, 0]" % key),
+        "not a list": ({size: 1, key: 1}, "%r must be a list" % key),
+    }[shape]
+    p = write_json(tmp_path / "in.json", obj)
+    code, out, err = run_cli([p if a == "IN" else a for a in args], capsys)
+    assert code == 1 and out == ""
+    assert message in json.loads(err)["error"]
+
+
 def test_validation_failure(tmp_path, capsys):
     p = write_json(tmp_path / "a.json",
                    {"n": 2, "a": [[0.8, 0], [1, 0], [0.8, 0]]})

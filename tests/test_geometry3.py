@@ -4,6 +4,71 @@ import pytest
 import toepsys as ts
 from toepsys import geometry3 as g3
 
+# The paper's boundary sextic d(W, X, Y, Z) as (coefficient, (pW, pX, pY,
+# pZ)) terms: an independent reference for geometry3's evaluation through
+# the support quartic's invariants
+DISCRIMINANT_TERMS = [
+    (1, (6, 0, 0, 0)),
+    (3, (4, 2, 0, 0)),
+    (15, (4, 0, 2, 0)),
+    (-18, (4, 0, 1, 0)),
+    (-12, (4, 0, 0, 2)),
+    (-1, (4, 0, 0, 0)),
+    (108, (3, 1, 1, 1)),
+    (-36, (3, 1, 0, 1)),
+    (3, (2, 4, 0, 0)),
+    (-78, (2, 2, 2, 0)),
+    (84, (2, 2, 0, 2)),
+    (-2, (2, 2, 0, 0)),
+    (48, (2, 0, 4, 0)),
+    (-144, (2, 0, 3, 0)),
+    (96, (2, 0, 2, 2)),
+    (80, (2, 0, 2, 0)),
+    (-144, (2, 0, 1, 2)),
+    (16, (2, 0, 1, 0)),
+    (48, (2, 0, 0, 4)),
+    (80, (2, 0, 0, 2)),
+    (-108, (1, 3, 1, 1)),
+    (-36, (1, 3, 0, 1)),
+    (-288, (1, 1, 2, 1)),
+    (-288, (1, 1, 0, 3)),
+    (32, (1, 1, 0, 1)),
+    (1, (0, 6, 0, 0)),
+    (15, (0, 4, 2, 0)),
+    (18, (0, 4, 1, 0)),
+    (-12, (0, 4, 0, 2)),
+    (-1, (0, 4, 0, 0)),
+    (48, (0, 2, 4, 0)),
+    (144, (0, 2, 3, 0)),
+    (96, (0, 2, 2, 2)),
+    (80, (0, 2, 2, 0)),
+    (144, (0, 2, 1, 2)),
+    (-16, (0, 2, 1, 0)),
+    (48, (0, 2, 0, 4)),
+    (80, (0, 2, 0, 2)),
+    (-64, (0, 0, 6, 0)),
+    (-192, (0, 0, 4, 2)),
+    (128, (0, 0, 4, 0)),
+    (-192, (0, 0, 2, 4)),
+    (256, (0, 0, 2, 2)),
+    (-64, (0, 0, 2, 0)),
+    (-64, (0, 0, 0, 6)),
+    (128, (0, 0, 0, 4)),
+    (-64, (0, 0, 0, 2)),
+]
+
+
+def _table_sums(W, X, Y, Z):
+    """The table's value and gradient at one point, by plain sums."""
+    v = (W, X, Y, Z)
+    value = sum(c * W ** pw * X ** px * Y ** py * Z ** pz
+                for c, (pw, px, py, pz) in DISCRIMINANT_TERMS)
+    grad = [sum(c * p[i] * np.prod([v[j] ** (p[j] - (j == i))
+                                    for j in range(4)])
+                for c, p in DISCRIMINANT_TERMS if p[i])
+            for i in range(4)]
+    return value, grad
+
 
 def test_delta_origin_and_curve():
     assert g3.delta(g3.ConeCoords(0, 0, 0, 0)) == 1.0
@@ -66,7 +131,7 @@ def test_surface_fixed_points():
 
 
 def test_discriminant_transcription_via_quartic(rng):
-    # the transcribed polynomial must be proportional to the resultant-based
+    # the boundary polynomial must be proportional to the resultant-based
     # discriminant of the support quartic; the ratio is a fixed constant
     from numpy.polynomial import polynomial as P
 
@@ -91,6 +156,8 @@ def test_discriminant_transcription_via_quartic(rng):
             ratios.append(d / disc)
     ratios = np.array(ratios)
     assert np.allclose(ratios, ratios[0], rtol=1e-6)
+    # the normalization: d is -1/256 times the quartic's discriminant
+    assert np.allclose(ratios, -1 / 256, rtol=1e-6)
 
 
 def test_discriminant_vanishes_on_boundary(rng):
@@ -165,20 +232,25 @@ def test_run_checks():
 
 def test_discriminant_arrays_match_scalar_api(rng):
     pts = rng.uniform(-1, 1, size=(4, 6, 5))
-    values = g3._discriminant_values(pts)
-    grads = g3._grad_discriminant_values(pts)
+    values = g3.discriminant(g3.StateCoords(*pts))
+    grads = g3.grad_discriminant(g3.StateCoords(*pts))
     assert values.shape == (6, 5) and grads.shape == (4, 6, 5)
     for idx in np.ndindex(6, 5):
-        q = g3.StateCoords(*pts[(slice(None),) + idx])
+        point = pts[(slice(None),) + idx]
+        q = g3.StateCoords(*point)
+        value, grad = _table_sums(*point.tolist())
         assert values[idx] == pytest.approx(g3.discriminant(q), rel=1e-12)
+        assert values[idx] == pytest.approx(value, rel=1e-12)
         assert np.allclose(grads[(slice(None),) + idx],
                            g3.grad_discriminant(q), rtol=1e-12, atol=0)
+        assert np.allclose(grads[(slice(None),) + idx], grad,
+                           rtol=1e-12, atol=0)
 
 
 def test_discriminant_equals_plain_sum_over_terms():
     W, X, Y, Z = 0.3, -0.7, 0.45, 0.2
     plain = sum(c * W ** pw * X ** px * Y ** py * Z ** pz
-                for c, (pw, px, py, pz) in g3.DISCRIMINANT_TERMS)
+                for c, (pw, px, py, pz) in DISCRIMINANT_TERMS)
     assert g3.discriminant(g3.StateCoords(W, X, Y, Z)) == pytest.approx(
         plain, rel=1e-12)
 
@@ -234,6 +306,10 @@ def test_array_calls_match_scalar_calls(rng):
     assert type(g3.discriminant(scalar_states[0])) is float
     assert g3.grad_delta(g3.ConeCoords(0, 0, x, 0)).shape == (4, k)
     assert g3.discriminant(g3.StateCoords(0, x, 0.1, 0)).shape == (k,)
+    mixed = [g3.support_quartic(g3.StateCoords(0, u, 0.1, v))
+             for u, v in zip(x, y)]
+    _assert_matches(g3.support_quartic(g3.StateCoords(0, x, 0.1, y)),
+                    np.transpose(mixed))
 
 
 def _reference_samples(kind, count, seed, slice_d=-0.4):
