@@ -22,8 +22,8 @@ PEEL_GRID = 256
 #: relative eigenvalue cut that sets the rank, the kernel and det_multiplicity
 RANK_CUT = 1e-12
 
-#: caps on the Gauss-Newton steps of kernel_roots (nodes) and _refine
-_NODE_STEPS, _REFINE_STEPS = 20, 12
+#: cap on the Gauss-Newton steps of _refine
+_REFINE_STEPS = 12
 
 
 class VandermondeDecomposition:
@@ -83,44 +83,25 @@ def _positive_eigh(T, tol, caller):
 
 def kernel_roots(T, tol=1e-9):
     """
-    The nodes of a singular positive Toeplitz matrix: the zeros on the
-    circle of g(theta) = ||u(theta)||^2, u(theta) = K^H f_theta with K an
-    orthonormal kernel basis and f_theta the unit Fourier vector, since a
-    kernel vector is orthogonal to every f_lambda of a node.  There are
-    rank(T) of them.  They are started from the shift invariance of the
-    range (as in vandermonde_decompose) and refined by Newton on g' with
-    the Gauss-Newton curvature 2 ||u'||^2: u has simple zeros, so nodes
-    stay resolved where g, a square, is flat below rounding between close
-    nodes.  A refined angle is a node when g is below sqrt(tol) times its
-    mean dim(ker) / n: at a node g is the square of the kernel's rounding,
-    elsewhere a fair fraction of that mean.
+    The nodes of a singular positive Toeplitz matrix, as points of the
+    circle.  At rank r <= n-1 the decomposition into extreme rays is unique
+    and its nodes are the common circle zeros of the kernel polynomials, so
+    they are the nodes of ``vandermonde_decompose(T)``: read from the same
+    eigendecomposition, rank cut (RANK_CUT) and weight cut, and returned
+    sorted by angle.  Where that decomposition misses its reconstruction
+    bound, these nodes miss too.  ``tol`` is the positivity tolerance only.
+    The zero matrix has no nodes; its result is an empty array.
 
     Raises
     ------
     ValueError
-        If T is not positive at ``tol``, is nonsingular (no eigenvalue
-        within RANK_CUT of zero), or if g has no zero on the circle.
+        If T is not positive at ``tol`` or is nonsingular (no eigenvalue
+        within RANK_CUT of zero).
     """
-    _, V, m = _positive_eigh(T, tol, "kernel_roots")
+    w, V, m = _positive_eigh(T, tol, "kernel_roots")
     if m == 0:
         raise ValueError("matrix is nonsingular at rank cut %g" % RANK_CUT)
-    K = V[:, :m].conj().T
-    p = np.arange(T.n)[:, None]
-    theta = _subspace_nodes(V[:, m:])
-    for _ in range(_NODE_STEPS):
-        E = np.exp(1j * p * theta) / np.sqrt(T.n)
-        u, du = K @ E, K @ (1j * p * E)
-        step = np.real(np.sum(du.conj() * u, axis=0)) / np.maximum(
-            np.sum(np.abs(du) ** 2, axis=0), 1e-300)
-        theta = theta - step
-        if np.abs(step).max(initial=0.0) <= 4 * np.finfo(float).eps:
-            break
-    g = np.sum(np.abs(K @ np.exp(1j * p * theta)) ** 2, axis=0) / T.n
-    nodes = theta[g <= np.sqrt(tol) * m / T.n]
-    if nodes.size == 0:
-        raise ValueError("kernel polynomials have no common circle root; "
-                         "input is not a positive Toeplitz matrix")
-    return np.exp(1j * np.sort(nodes % (2 * np.pi)))
+    return np.exp(1j * _decompose(T, w, V, m).angles)
 
 
 def _refine(T, angles):
@@ -191,7 +172,12 @@ def vandermonde_decompose(T, tol=1e-9):
     RANK_CUT, as in det_multiplicity), T^{-1} and the range.  Full-rank
     decompositions are not unique; only reconstruction is canonical.
     """
-    w, V, m = _positive_eigh(T, tol, "vandermonde_decompose")
+    return _decompose(T, *_positive_eigh(T, tol, "vandermonde_decompose"))
+
+
+def _decompose(T, w, V, m):
+    """The decomposition of a positive T from its ascending eigenpairs w, V
+    and its nullity m, as vandermonde_decompose describes it."""
     n, rank = T.n, T.n - m
     if rank == 0:
         return VandermondeDecomposition([], [])
@@ -225,7 +211,7 @@ def vandermonde_decompose(T, tol=1e-9):
             weights[close[0]] += s
         else:
             angles, weights = np.append(angles, th), np.append(weights, s)
-    keep = weights > 1e-13 * max(1.0, weights.max())
+    keep = weights > 1e-13 * weights.max()
     return VandermondeDecomposition(angles[keep], weights[keep])
 
 

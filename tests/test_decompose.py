@@ -54,6 +54,45 @@ def test_kernel_roots_nonsingular_rejected():
         ts.kernel_roots(T)
 
 
+def test_kernel_roots_zero_matrix():
+    # the zero matrix is positive and has no nodes
+    for n in (1, 3):
+        zero = ts.toeplitz_from_coeffs(np.zeros(2 * n - 1))
+        assert ts.kernel_roots(zero).size == 0
+        assert ts.vandermonde_decompose(zero).rank == 0
+
+
+def test_kernel_roots_are_decomposition_nodes():
+    # unseparated rays: least-squares weights on the nodes rebuild T
+    n = 64
+    k = np.arange(-n + 1, n)
+    for d in range(10):
+        T = random_positive_toeplitz(n, n - 1, np.random.default_rng([5, n, n - 1, d]))
+        A = np.exp(1j * np.outer(k, np.angle(ts.kernel_roots(T)))) / n
+        w, *_ = np.linalg.lstsq(np.vstack([A.real, A.imag]),
+                                np.concatenate([T.t.real, T.t.imag]), rcond=None)
+        assert w.min() >= 0
+        assert np.abs(A @ w - T.t).max() <= 1e-8 * np.abs(T.t).max()
+    # draws where a tight cluster once cost a node: all n - m are found
+    n = 96
+    for r, draw in ((95, 18), (99, 9)):
+        rng = np.random.default_rng([5, n, r])
+        for _ in range(draw + 1):
+            T = random_positive_toeplitz(n, r, rng)
+        assert ts.kernel_roots(T).size == n - ts.det_multiplicity(T)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e-13, 1.0, 1e13, 1e20])
+def test_weight_cut_is_scale_invariant(scale):
+    angles = [0.5, 2.0, 4.0]
+    T = scale * rays_toeplitz(6, angles, [1.0, 0.7, 1.3])
+    vd = ts.vandermonde_decompose(T)
+    assert vd.rank == 6 - ts.det_multiplicity(T) == 3
+    assert np.allclose(vd.angles, angles, atol=1e-8)
+    assert np.abs(ts.reconstruct(vd, 6).t - T.t).max() <= 1e-9 * np.abs(T.t).max()
+    assert _cyclic_deviation(ts.kernel_roots(T), angles) <= 1e-8
+
+
 def test_decompose_identity():
     # identity = equal-weight combination over any full node set; only the
     # reconstruction is canonical
