@@ -104,41 +104,61 @@ def kernel_roots(T, tol=1e-9):
     return np.exp(1j * _decompose(T, w, V, m).angles)
 
 
+def _half_lstsq(M, t):
+    """
+    Least-squares solution x of M x = t over the 2n - 1 coefficients
+    t_k, k = -(n-1) .. n-1, of a model that is Hermitian for real x, with
+    M its rows k = 0 .. n-1 (row -k is the conjugate of row k).  For k > 0,
+    |m_k - t_k|^2 + |m_{-k} - t_{-k}|^2 = 2 |m_k - h_k|^2 + |t_k -
+    conj t_{-k}|^2 / 2 with h_k = (t_k + conj t_{-k}) / 2, and at k = 0
+    the model is real, so the two sums of squares differ by a constant: the
+    rows k >= 0 against h, weighted sqrt 2 at k > 0, have the same normal
+    equations and the same (least-norm) minimizer, on half the rows.
+    """
+    n = M.shape[0]
+    w = np.full(n, np.sqrt(2.0))
+    w[0] = 1.0
+    M, h = w[:, None] * M, w * (t[n - 1:] + np.conj(t[n - 1::-1])) / 2
+    return np.linalg.lstsq(np.vstack([M.real, M.imag]),
+                           np.concatenate([h.real, h.imag]), rcond=None)[0]
+
+
 def _refine(T, angles):
     """Gauss-Newton on (angles, weights) against the coefficients of T.
 
     Starts from the least-squares weights for the given nodes, clamped to
     be nonnegative, and keeps the best iterate rather than the last;
     near-coincident nodes make the Jacobian rank deficient, which lstsq
-    absorbs.  It stops by ``core.RoundingStop`` on the max-abs residual err,
-    with floor 8 n eps max|t_k|: at the floor, or once the best err is
-    within 10^3 times it and two steps in a row fail to halve that best,
-    whether err creeps down or bounces above it.  The best iterate is
-    returned.
+    absorbs.  The model sum_i d_i e^{i k theta_i} / n is Hermitian in k for
+    real (theta, d), so the weight fit and each step are solved by
+    ``_half_lstsq`` on the rows k >= 0 only: the same normal equations and
+    minimizer as on all 2n - 1 rows, also where T is Hermitian only to
+    rounding, as after the peel.  It stops by ``core.RoundingStop`` on the
+    max-abs residual err over all 2n - 1 coefficients, with floor
+    8 n eps max|t_k|: at the floor, or once the best err is within 10^3
+    times it and two steps in a row fail to halve that best, whether err
+    creeps down or bounces above it.  The best iterate is returned.
     Transient negative weights are clamped at the end; the caller's
     reconstruction check is the real guard.
     """
     n, r = T.n, angles.size
-    k = np.arange(-n + 1, n)
-    A = np.exp(1j * np.outer(k, angles)) / n
-    d, *_ = np.linalg.lstsq(np.vstack([A.real, A.imag]),
-                            np.concatenate([T.t.real, T.t.imag]), rcond=None)
+    k = np.arange(n)
+    d = _half_lstsq(np.exp(1j * np.outer(k, angles)) / n, T.t)
     x = np.concatenate([angles, np.clip(d, 0.0, None)])
     best, best_err = x.copy(), np.inf
     stop = RoundingStop(8 * n * np.finfo(float).eps * float(np.abs(T.t).max()))
     for _ in range(_REFINE_STEPS):
         th, d = x[:r], x[r:]
-        E = np.exp(1j * np.outer(k, th))
-        resid = (E / n) @ d - T.t
+        E = np.exp(1j * np.outer(k, th)) / n
+        m = E @ d
+        resid = T.t - np.concatenate([np.conj(m[:0:-1]), m])
         err = float(np.abs(resid).max())
         if err < best_err:
             best_err, best = err, x.copy()
         if stop(err):
             break
         # d(model)/d(theta_i) = d_i * i k e^{i k theta_i} / n
-        J = np.hstack([1j * k[:, None] * E * d[None, :] / n, E / n])
-        step, *_ = np.linalg.lstsq(np.vstack([J.real, J.imag]),
-                                   -np.concatenate([resid.real, resid.imag]), rcond=None)
+        step = _half_lstsq(np.hstack([1j * k[:, None] * E * d[None, :], E]), resid)
         x = x + step
         if np.linalg.norm(step) < 1e-15:
             break

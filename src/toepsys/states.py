@@ -15,7 +15,7 @@ import numpy as np
 from .core import CircleLayer, FRElement, fr_convolve, fr_is_positive, pairing
 from .factor import laurent_roots
 
-#: cap on the Levenberg-Marquardt steps of the node fit in is_pure, and the
+#: cap on the Levenberg-Marquardt steps of is_pure's coefficient fit, and the
 #: number of steps over which a fit that gains less than a tenth gives up
 _NODE_FIT_TRIALS = 300
 _NODE_FIT_WINDOW = 25
@@ -139,21 +139,36 @@ def _paired_nodes(roots):
     return start + gap / 2
 
 
+def _node_factors(theta, phi):
+    """
+    Sum over the nodes ``theta`` of log 4 sin^2 h_j, h_j = (phi - theta_j) / 2,
+    and the cotangents cot h_j, on the angles ``phi``.  With u = e^{i phi / 2}
+    and w = e^{i theta / 2}, the outer product of u and conj(w) is e^{i h},
+    so 4 sin^2 h = 4 Im^2 and cot h = Re / Im with no trig per entry.  Im is
+    taken as u.imag w.real - u.real w.imag, so that a sample on a node, a
+    double zero, gets Im = 0 exactly, and then the log of 1e-300 and
+    cotangent 0.
+    """
+    u, w = np.exp(0.5j * phi)[:, None], np.exp(0.5j * theta)
+    re = u.real * w.real + u.imag * w.imag
+    im = u.imag * w.real - u.real * w.imag
+    total = np.log(np.maximum(4.0 * im * im, 1e-300)).sum(axis=1)
+    return total, re / np.where(im != 0, im, np.inf)
+
+
 def _node_density(theta, log_s, phi):
     """
     Values on the angles ``phi`` of the pure density with nodes ``theta``,
     s prod_j |e^{i phi} - e^{i theta_j}|^2, with the sum of its log factors
-    and the half angle differences that the Jacobian reuses.
+    and the cotangents that the Jacobian reuses.
     """
-    h = (phi[:, None] - theta) / 2
-    total = np.log(np.maximum(4.0 * np.sin(h) ** 2, 1e-300)).sum(axis=1)
-    return np.exp(log_s + total), total, h
+    total, cot = _node_factors(theta, phi)
+    return np.exp(log_s + total), total, cot
 
 
-def _node_jacobian(vals, h):
+def _node_jacobian(vals, cot):
     """Jacobian of ``vals`` in (theta, log s), as in ``_fits_pure``."""
-    t = np.tan(h)
-    return np.column_stack([np.divide(-vals[:, None], t, out=np.zeros_like(t), where=t != 0), vals])
+    return np.column_stack([-vals[:, None] * cot, vals])
 
 
 def _fits_pure(a, theta, tol):
@@ -166,13 +181,14 @@ def _fits_pure(a, theta, tol):
     trigonometric polynomial of degree n-1: the l2 norm of the residual on
     them is sqrt(2n) times its coefficient l2 norm, and the FFT gives the
     coefficients of the fit exactly.  The Jacobian column of node j is
-    d vals / d theta_j = -vals cot((phi - theta_j) / 2), one tangent per
-    entry; a sample on a node, a double zero, gets 0.  The damping follows
-    Nielsen (scaled by diag(J^T J)): after a step with gain ratio rho, mu
-    shrinks by max(1/3, 1 - (2 rho - 1)^3); after a rejected step it grows
-    by nu, which doubles.  The fit gives up after _NODE_FIT_TRIALS steps,
-    when the certified residual falls by less than a tenth over
-    _NODE_FIT_WINDOW steps, or when mu passes 1e16 and no step lowers it.
+    d vals / d theta_j = -vals cot((phi - theta_j) / 2), from
+    ``_node_factors``; a sample on a node, a double zero, gets 0.  The
+    damping follows Nielsen (scaled by diag(J^T J)): after a step with gain
+    ratio rho, mu shrinks by max(1/3, 1 - (2 rho - 1)^3); after a rejected
+    step it grows by nu, which doubles.  The fit gives up after
+    _NODE_FIT_TRIALS steps, when the certified residual falls by less than
+    a tenth over _NODE_FIT_WINDOW steps, or when mu passes 1e16 and no step
+    lowers it.
     """
     n = (a.size + 1) // 2
     L = 2 * n
@@ -183,7 +199,7 @@ def _fits_pure(a, theta, tol):
     target = np.real(np.fft.ifft(w)) * L
     bound = tol * np.abs(a).sum()
     # each factor is at most 4, so this scale cannot overflow
-    _, total, h = _node_density(theta, -(n - 1) * np.log(4.0), phi)
+    _, total, cot = _node_density(theta, -(n - 1) * np.log(4.0), phi)
     top = total.max()
     v = np.exp(total - top)
     log_s = np.log(max(target @ v, 1e-300) / (v @ v)) - top
@@ -195,7 +211,7 @@ def _fits_pure(a, theta, tol):
             res = np.abs(np.fft.fft(vals)[k] / L - a).sum()
             if res <= bound:
                 return True
-            J = _node_jacobian(vals, h)
+            J = _node_jacobian(vals, cot)
             H, g = J.T @ J, J.T @ r
             D = np.maximum(H.diagonal(), 1e-15 * H.diagonal().max())
         if trial % _NODE_FIT_WINDOW == 0:
@@ -203,7 +219,7 @@ def _fits_pure(a, theta, tol):
                 return False
             check = res
         d = np.linalg.solve(H + mu * np.diag(D), -g)
-        vn, _, hn = _node_density(theta + d[:-1], log_s + d[-1], phi)
+        vn, _, cotn = _node_density(theta + d[:-1], log_s + d[-1], phi)
         rn = vn - target
         gain = r @ r - rn @ rn
         pred = -(2 * g @ d + d @ H @ d)
@@ -211,7 +227,7 @@ def _fits_pure(a, theta, tol):
         if changed:
             rho = gain / pred
             theta, log_s = theta + d[:-1], log_s + d[-1]
-            vals, h, r = vn, hn, rn
+            vals, cot, r = vn, cotn, rn
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
         elif mu > 1e16:
@@ -222,11 +238,11 @@ def _fits_pure(a, theta, tol):
     return False
 
 
-def _has_positive_well(a, tol):
+def _has_positive_well(lay, tol):
     """
     True only when every function within sup distance tol ||a||_1 of the
-    circle function p of the palindromic coefficients ``a`` has a positive
-    local minimum.  Read from the cells of one CircleLayer, with
+    circle function p of the palindromic coefficients a has a positive
+    local minimum.  Read from the cells of a's CircleLayer ``lay``, with
     delta = tol ||a||_1 + rnd for its rounding rnd: the circle is cut at
     the cells whose centre value is a local maximum of the centre values,
     and an arc between two cuts is a well when the lower bounds of p on
@@ -236,7 +252,6 @@ def _has_positive_well(a, tol):
     value on the arc is taken inside, and it is positive.  No cell is
     refined; a well too narrow for its cells' bounds is not seen.
     """
-    lay = CircleLayer(a)
     delta = tol * lay.norm + lay.rnd
     c, lo = lay.C[0], lay.bounds(lay.C, lay.r)[0]
     top = np.flatnonzero((c >= np.roll(c, 1)) & (c > np.roll(c, -1)))
@@ -251,6 +266,78 @@ def _has_positive_well(a, tol):
     return bool(np.any((floor > delta) & (ends > least + 2 * delta)))
 
 
+def _log_model(theta, log_s, phi):
+    """
+    log p on the angles ``phi`` of the pure density p with nodes ``theta``
+    and scale s, log s + sum_j log 4 sin^2((phi - theta_j) / 2), and its
+    Jacobian in (theta, log s): columns -cot((phi - theta_j) / 2) and 1.
+    No exp is taken, so nothing overflows; a sample on a node gets the log
+    of 1e-300 and cotangent 0, as in ``_node_factors``.
+    """
+    total, cot = _node_factors(theta, phi)
+    return log_s + total, np.column_stack([-cot, np.ones_like(total)])
+
+
+def _log_fit(lay, theta, tol):
+    """
+    Fit the nodes of a pure density to the density a in log space, by
+    Levenberg-Marquardt on ``_log_model`` against the log of the centre
+    values c of a's CircleLayer ``lay``, started at the nodes ``theta``.
+    Only the samples with c > 10^3 rnd are fitted; their logs are exact to
+    rnd / c <= 10^-3.  A node moved by delta changes log p by about
+    -delta cot((phi - theta_j) / 2) at every sample, so every sample above
+    rounding steers the nodes, whatever its size, while a fit in values is
+    steered by the large ones only.  The damping is ``_fits_pure``'s, and
+    a singular solve counts as a rejected step.  The fit stops once the
+    sum of squares is within sum (rnd / c)^2, what the rounding of the
+    samples accounts for (so a start that fits takes no step), after an
+    accepted step that lowers it by less than a hundredth, or when mu
+    passes 1e16 and no step lowers it.
+
+    Returns the nodes, or None when the largest log residual on the samples
+    with c >= 10 tol ||a||_1 is above 1.  Any density that ``_fits_pure``
+    accepts lies within tol ||a||_1 of a, so within -log 0.9 ~ 0.11 of it
+    in log there; but the fit is local, so this give-up is not certified.
+    """
+    c = lay.C[0]
+    on = c > 1e3 * lay.rnd
+    phi, y, c = lay.theta[on], np.log(c[on]), c[on]
+    floor = ((lay.rnd / c) ** 2).sum()
+    f, J = _log_model(theta, 0.0, phi)
+    log_s = np.mean(y - f)
+    r = f + log_s - y
+    mu, nu, changed = 1e-3, 2.0, True
+    while r @ r > floor:
+        if changed:
+            H, g = J.T @ J, J.T @ r
+            D = np.maximum(H.diagonal(), 1e-15 * H.diagonal().max())
+        try:
+            d = np.linalg.solve(H + mu * np.diag(D), -g)
+        except np.linalg.LinAlgError:
+            changed = False
+        else:
+            fn, Jn = _log_model(theta + d[:-1], log_s + d[-1], phi)
+            rn = fn - y
+            gain = r @ r - rn @ rn
+            pred = -(2 * g @ d + d @ H @ d)
+            changed = gain > 0 and pred > 0
+        if changed:
+            rho, cost = gain / pred, r @ r
+            theta, log_s, r, J = theta + d[:-1], log_s + d[-1], rn, Jn
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+            if gain < cost / 100:
+                break
+        elif mu > 1e16:
+            break
+        else:
+            mu *= nu
+            nu *= 2.0
+    if np.abs(r[c >= 10 * tol * lay.norm]).max(initial=0.0) > 1:
+        return None
+    return theta
+
+
 def is_pure(state, tol=1e-6):
     """
     Extremality test by backward error: True when a pure density lies
@@ -258,30 +345,43 @@ def is_pure(state, tol=1e-6):
     ||coeff(a - p)||_1 <= tol ||a||_1 (a certified bound on the sup
     distance on the circle).  A state is pure iff its density carries the
     full complement of n-1 circle nodes, each a double root, so the
-    candidate p = s prod_j |z - e^{i theta_j}|^2 is pure by construction;
-    its nodes are fitted by ``_fits_pure`` from the paired Laurent roots.
+    candidate p = s prod_j |z - e^{i theta_j}|^2 is pure by construction.
+    The exits, in order:
 
-    Two exits answer False before the fit.  A density whose polynomial
-    degree drops (vanishing leading coefficients) has fewer than 2(n-1)
-    Laurent roots.  A density with a positive well, found by
-    ``_has_positive_well`` on one CircleLayer, has no pure density within
-    the tolerance: every function within sup distance
-    delta = tol ||a||_1 + rnd (rnd the layer's rounding) of it has a
-    positive local minimum, while a pure density has none, since p' / p =
-    sum_j cot((theta - theta_j) / 2) falls between consecutive nodes, so
-    that p has one maximum and no other critical point there.  The fit
-    accepts only within ||coeff(a - p)||_1 <= tol ||a||_1, a sup distance
-    below delta, so this exit changes no verdict; mixtures whose wells sit
-    below delta, or are too shallow, still go through the fit.
+    1. Positive well: False, certified.  ``_has_positive_well`` finds on
+       the density's CircleLayer that every function within sup distance
+       delta = tol ||a||_1 + rnd (rnd the layer's rounding) of it has a
+       positive local minimum, while a pure density has none, since
+       p' / p = sum_j cot((theta - theta_j) / 2) falls between consecutive
+       nodes, so that p has one maximum and no other critical point there.
+       The certificate accepts only within a sup distance below delta, so
+       this exit changes no verdict; mixtures whose wells sit below delta,
+       or are too shallow, go on.
+    2. Degree drop: False, read from exact zeros.  A density whose leading
+       coefficients vanish has fewer than 2(n-1) Laurent roots.
+    3. Log give-up: False, not certified.  The nodes start at the paired
+       Laurent roots and ``_log_fit`` fits them to log a on the same
+       layer's samples above rounding.  When its largest log residual on
+       the samples with a >= 10 tol ||a||_1 is above 1, no density that the
+       certificate accepts is near the fitted one, but the fit is local.
+    4. Certificate: True, certified.  ``_fits_pure`` fits the nodes to the
+       coefficients from there and accepts once
+       ||coeff(a - p)||_1 <= tol ||a||_1.
+    5. Value fit's give-up: False, not certified.  ``_fits_pure`` stops
+       after a bounded number of steps, on slow progress or on damping
+       overflow, so a pure density whose fit converges slowly is reported
+       not pure.
 
     The roots themselves cannot be tested against the circle: where the
     density is below rounding level on an arc, as on dense node clusters
     at n >= 16, the computed roots there scatter by up to ~0.4 in
-    log-modulus although a pure density matches to ~1e-15.  The fit can
-    also miss: it stops after a bounded number of steps, so a pure density
-    whose fit converges slowly is reported not pure.
+    log-modulus although a pure density matches to ~1e-15.  Those arcs
+    steer a fit in values by nothing, and a fit in logs as much as any
+    other arc, which is why the log fit comes first.
     """
-    if _has_positive_well(state.density.a, tol):
+    a = state.density.a
+    lay = CircleLayer(a)
+    if _has_positive_well(lay, tol):
         return False
     try:
         roots = laurent_roots(state.density)
@@ -291,4 +391,5 @@ def is_pure(state, tol=1e-6):
         return False
     if roots.size == 0:
         return True
-    return _fits_pure(state.density.a, _paired_nodes(roots), tol)
+    theta = _log_fit(lay, _paired_nodes(roots), tol)
+    return theta is not None and _fits_pure(a, theta, tol)

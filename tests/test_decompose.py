@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import toepsys as ts
+from toepsys.decompose import _half_lstsq
 
 from conftest import (random_positive_toeplitz, rays_toeplitz,
                       separated_angles, slotted_angles)
@@ -187,6 +188,33 @@ def test_one_rank_rule(n, extra):
         assert ts.vandermonde_decompose(T).rank + m == n
         if m:
             assert ts.kernel_roots(T).size == n - m
+
+
+def test_refine_half_rows_match_full_rows():
+    # one ray peeled off a sum of rays: t is Hermitian only to rounding;
+    # the weight fit and one Gauss-Newton step of _refine, on the rows
+    # k >= 0, match lstsq on all 2n - 1 rows
+    n, rng = 16, np.random.default_rng(16)
+    angles = separated_angles(12, rng)
+    weights = rng.uniform(0.2, 2.0, 12)
+    T = rays_toeplitz(n, angles, weights) - weights[0] * ts.extreme_ray(np.exp(1j * angles[0]), n)
+    assert np.abs(T.t - np.conj(T.t[::-1])).max() > 0
+
+    def full_lstsq(M, t):
+        return np.linalg.lstsq(np.vstack([M.real, M.imag]),
+                               np.concatenate([t.real, t.imag]), rcond=None)[0]
+
+    th = angles[1:] + rng.uniform(-1e-3, 1e-3, 11)
+    k, kf = np.arange(n), np.arange(-n + 1, n)
+    E, Ef = np.exp(1j * np.outer(k, th)) / n, np.exp(1j * np.outer(kf, th)) / n
+    d, d_ref = _half_lstsq(E, T.t), full_lstsq(Ef, T.t)
+    assert np.linalg.norm(d - d_ref) <= 1e-9 * np.linalg.norm(d_ref)
+    m = E @ d
+    resid = T.t - np.concatenate([np.conj(m[:0:-1]), m])
+    assert np.allclose(resid, T.t - Ef @ d, rtol=0, atol=1e-14)
+    step = _half_lstsq(np.hstack([1j * k[:, None] * E * d, E]), resid)
+    ref = full_lstsq(np.hstack([1j * kf[:, None] * Ef * d, Ef]), resid)
+    assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_one_rank_rule_hand_built(rng):
