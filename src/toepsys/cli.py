@@ -2,8 +2,8 @@
 Command line front end: JSON in, JSON or CSV out, deterministic for a given
 input, seed and tolerances.
 
-Floats are emitted with 17 significant digits and complex values as
-[re, im] pairs, so every emitted file re-parses to the same values.
+Floats are emitted as Python's shortest round-trip repr and complex values
+as [re, im] pairs, so every emitted file re-parses to the same values.
 """
 
 import argparse
@@ -19,24 +19,8 @@ from .core import (fr_from_json, fr_to_json, json_pairs, toeplitz_from_json,
 
 
 def _format(value):
-    """Render a JSON-ready structure with 17-significant-digit floats."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        items = ", ".join("%s: %s" % (json.dumps(k), _format(v))
-                          for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_format(v) for v in value) + "]"
-    if value is None:
-        return "null"
-    return _format(float(value))
+    """JSON text of ``value``, numpy scalars as the Python numbers they hold."""
+    return json.dumps(value, default=lambda v: v.item())
 
 
 def _emit(obj, out):

@@ -168,14 +168,58 @@ def _node_density(theta, log_s, phi):
 
 def _node_jacobian(vals, cot):
     """Jacobian of ``vals`` in (theta, log s), as in ``_fits_pure``."""
-    return np.column_stack([-vals[:, None] * cot, vals])
+    return np.concatenate((-vals[:, None] * cot, vals[:, None]), axis=1)
+
+
+def _damped_fit(model, x, fit, stop):
+    """
+    Levenberg-Marquardt from ``x``, whose model value ``fit`` the caller
+    has at hand.  ``model(x)`` returns a tuple whose first two entries are
+    the residual r and a function giving its Jacobian J, called only at
+    the iterates the loop steps from.  The damping follows Nielsen
+    (IMM-REP-1999-05), scaled by diag(J^T J): after an accepted step with
+    gain ratio rho, mu shrinks by max(1/3, 1 - (2 rho - 1)^3); after a
+    rejected step, a singular solve included, it grows by nu, which
+    doubles.  Before each step, ``stop(steps, fit, cost)`` names an exit
+    or returns None, where cost is the sum of squares before the last
+    accepted step (inf before the first).  The loop exits at "damping"
+    itself when mu passes 1e16 and no step lowers it.
+
+    Returns the iterate, its residual, the exit and the number of steps.
+    """
+    mu, nu, steps, cost, accepted = 1e-3, 2.0, 0, np.inf, True
+    while not (name := stop(steps, fit, cost)):
+        r = fit[0]
+        if accepted:
+            J = fit[1]()
+            H, g = J.T @ J, J.T @ r
+            D = np.maximum(H.diagonal(), 1e-15 * H.diagonal().max())
+        steps += 1
+        try:
+            d = np.linalg.solve(H + mu * np.diag(D), -g)
+        except np.linalg.LinAlgError:
+            accepted = False
+        else:
+            new = model(x + d)
+            gain = r @ r - new[0] @ new[0]
+            pred = -(2 * g @ d + d @ H @ d)
+            accepted = gain > 0 and pred > 0
+        if accepted:
+            x, fit, cost, rho = x + d, new, r @ r, gain / pred
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        elif mu > 1e16:
+            return x, r, "damping", steps
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+    return x, fit[0], name, steps
 
 
 def _fits_pure(a, theta, tol):
     """
     Fit a pure density to the palindromic coefficients ``a`` (k = -(n-1) ..
-    n-1) by Levenberg-Marquardt on its node angles and log scale, started
-    at ``theta``; True once ||coeff(a - fit)||_1 <= tol ||a||_1.
+    n-1) by ``_damped_fit`` on its node angles and log scale, started at
+    ``theta``; True once ||coeff(a - fit)||_1 <= tol ||a||_1.
 
     The fit is sampled on 2n equispaced angles, which determine a
     trigonometric polynomial of degree n-1: the l2 norm of the residual on
@@ -183,12 +227,9 @@ def _fits_pure(a, theta, tol):
     coefficients of the fit exactly.  The Jacobian column of node j is
     d vals / d theta_j = -vals cot((phi - theta_j) / 2), from
     ``_node_factors``; a sample on a node, a double zero, gets 0.  The
-    damping follows Nielsen (scaled by diag(J^T J)): after a step with gain
-    ratio rho, mu shrinks by max(1/3, 1 - (2 rho - 1)^3); after a rejected
-    step it grows by nu, which doubles.  The fit gives up after
-    _NODE_FIT_TRIALS steps, when the certified residual falls by less than
-    a tenth over _NODE_FIT_WINDOW steps, or when mu passes 1e16 and no step
-    lowers it.
+    exits: "certified" once the bound holds, "window" when the certified
+    residual falls by less than a tenth over _NODE_FIT_WINDOW steps, "cap"
+    after _NODE_FIT_TRIALS steps, and the loop's "damping".
     """
     n = (a.size + 1) // 2
     L = 2 * n
@@ -196,46 +237,37 @@ def _fits_pure(a, theta, tol):
     k = np.arange(-n + 1, n) % L
     w = np.zeros(L, dtype=complex)
     w[k] = a
-    target = np.real(np.fft.ifft(w)) * L
+    target = np.fft.ifft(w).real * L
     bound = tol * np.abs(a).sum()
-    # each factor is at most 4, so this scale cannot overflow
-    _, total, cot = _node_density(theta, -(n - 1) * np.log(4.0), phi)
+    check = np.inf
+
+    def sampled(vals, cot):
+        # the loop's residual and Jacobian, and the certified l1 residual
+        res = np.abs(np.fft.fft(vals)[k] / L - a).sum()
+        return vals - target, lambda: _node_jacobian(vals, cot), res
+
+    def model(x):
+        vals, _, cot = _node_density(x[:-1], x[-1], phi)
+        return sampled(vals, cot)
+
+    def stop(steps, fit, cost):
+        nonlocal check
+        if steps == _NODE_FIT_TRIALS:
+            return "cap"
+        if fit[2] <= bound:
+            return "certified"
+        if steps % _NODE_FIT_WINDOW == 0:
+            if fit[2] > 0.9 * check:
+                return "window"
+            check = fit[2]
+
+    total, cot = _node_factors(theta, phi)
     top = total.max()
     v = np.exp(total - top)
-    log_s = np.log(max(target @ v, 1e-300) / (v @ v)) - top
-    vals = np.exp(log_s + total)
-    r = vals - target
-    mu, nu, check, changed = 1e-3, 2.0, None, True
-    for trial in range(_NODE_FIT_TRIALS):
-        if changed:
-            res = np.abs(np.fft.fft(vals)[k] / L - a).sum()
-            if res <= bound:
-                return True
-            J = _node_jacobian(vals, cot)
-            H, g = J.T @ J, J.T @ r
-            D = np.maximum(H.diagonal(), 1e-15 * H.diagonal().max())
-        if trial % _NODE_FIT_WINDOW == 0:
-            if check is not None and res > 0.9 * check:
-                return False
-            check = res
-        d = np.linalg.solve(H + mu * np.diag(D), -g)
-        vn, _, cotn = _node_density(theta + d[:-1], log_s + d[-1], phi)
-        rn = vn - target
-        gain = r @ r - rn @ rn
-        pred = -(2 * g @ d + d @ H @ d)
-        changed = gain > 0 and pred > 0
-        if changed:
-            rho = gain / pred
-            theta, log_s = theta + d[:-1], log_s + d[-1]
-            vals, cot, r = vn, cotn, rn
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu = 2.0
-        elif mu > 1e16:
-            return False
-        else:
-            mu *= nu
-            nu *= 2.0
-    return False
+    log_s = np.log(np.maximum(target @ v, 1e-300) / (v @ v)) - top
+    start = sampled(np.exp(log_s + total), cot)
+    x = np.concatenate((theta, [log_s]))
+    return _damped_fit(model, x, start, stop)[2] == "certified"
 
 
 def _has_positive_well(lay, tol):
@@ -275,24 +307,24 @@ def _log_model(theta, log_s, phi):
     of 1e-300 and cotangent 0, as in ``_node_factors``.
     """
     total, cot = _node_factors(theta, phi)
-    return log_s + total, np.column_stack([-cot, np.ones_like(total)])
+    ones = np.ones((total.size, 1))
+    return log_s + total, np.concatenate((-cot, ones), axis=1)
 
 
 def _log_fit(lay, theta, tol):
     """
     Fit the nodes of a pure density to the density a in log space, by
-    Levenberg-Marquardt on ``_log_model`` against the log of the centre
-    values c of a's CircleLayer ``lay``, started at the nodes ``theta``.
-    Only the samples with c > 10^3 rnd are fitted; their logs are exact to
+    ``_damped_fit`` on ``_log_model`` against the log of the centre values
+    c of a's CircleLayer ``lay``, started at the nodes ``theta``.  Only the
+    samples with c > 10^3 rnd are fitted; their logs are exact to
     rnd / c <= 10^-3.  A node moved by delta changes log p by about
     -delta cot((phi - theta_j) / 2) at every sample, so every sample above
     rounding steers the nodes, whatever its size, while a fit in values is
-    steered by the large ones only.  The damping is ``_fits_pure``'s, and
-    a singular solve counts as a rejected step.  The fit stops once the
-    sum of squares is within sum (rnd / c)^2, what the rounding of the
-    samples accounts for (so a start that fits takes no step), after an
-    accepted step that lowers it by less than a hundredth, or when mu
-    passes 1e16 and no step lowers it.
+    steered by the large ones only.  The exits: "floor" once the sum of
+    squares is within sum (rnd / c)^2, what the rounding of the samples
+    accounts for (so a start that fits takes no step), "slow" after an
+    accepted step that lowers it by less than a hundredth, and the loop's
+    "damping".
 
     Returns the nodes, or None when the largest log residual on the samples
     with c >= 10 tol ||a||_1 is above 1.  Any density that ``_fits_pure``
@@ -303,39 +335,25 @@ def _log_fit(lay, theta, tol):
     on = c > 1e3 * lay.rnd
     phi, y, c = lay.theta[on], np.log(c[on]), c[on]
     floor = ((lay.rnd / c) ** 2).sum()
+
+    def model(x):
+        f, J = _log_model(x[:-1], x[-1], phi)
+        return f - y, lambda: J
+
+    def stop(steps, fit, cost):
+        rr = fit[0] @ fit[0]
+        if rr <= floor:
+            return "floor"
+        if cost - rr < cost / 100:
+            return "slow"
+
     f, J = _log_model(theta, 0.0, phi)
-    log_s = np.mean(y - f)
-    r = f + log_s - y
-    mu, nu, changed = 1e-3, 2.0, True
-    while r @ r > floor:
-        if changed:
-            H, g = J.T @ J, J.T @ r
-            D = np.maximum(H.diagonal(), 1e-15 * H.diagonal().max())
-        try:
-            d = np.linalg.solve(H + mu * np.diag(D), -g)
-        except np.linalg.LinAlgError:
-            changed = False
-        else:
-            fn, Jn = _log_model(theta + d[:-1], log_s + d[-1], phi)
-            rn = fn - y
-            gain = r @ r - rn @ rn
-            pred = -(2 * g @ d + d @ H @ d)
-            changed = gain > 0 and pred > 0
-        if changed:
-            rho, cost = gain / pred, r @ r
-            theta, log_s, r, J = theta + d[:-1], log_s + d[-1], rn, Jn
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu = 2.0
-            if gain < cost / 100:
-                break
-        elif mu > 1e16:
-            break
-        else:
-            mu *= nu
-            nu *= 2.0
+    log_s = (y - f).mean()
+    x = np.concatenate((theta, [log_s]))
+    x, r, _, _ = _damped_fit(model, x, (f + log_s - y, lambda: J), stop)
     if np.abs(r[c >= 10 * tol * lay.norm]).max(initial=0.0) > 1:
         return None
-    return theta
+    return x[:-1]
 
 
 def is_pure(state, tol=1e-6):
@@ -361,16 +379,17 @@ def is_pure(state, tol=1e-6):
        coefficients vanish has fewer than 2(n-1) Laurent roots.
     3. Log give-up: False, not certified.  The nodes start at the paired
        Laurent roots and ``_log_fit`` fits them to log a on the same
-       layer's samples above rounding.  When its largest log residual on
-       the samples with a >= 10 tol ||a||_1 is above 1, no density that the
+       layer's samples above rounding, until its exit "floor", "slow" or
+       "damping".  When its largest log residual on the samples with
+       a >= 10 tol ||a||_1 is then above 1, no density that the
        certificate accepts is near the fitted one, but the fit is local.
     4. Certificate: True, certified.  ``_fits_pure`` fits the nodes to the
        coefficients from there and accepts once
-       ||coeff(a - p)||_1 <= tol ||a||_1.
+       ||coeff(a - p)||_1 <= tol ||a||_1, its exit "certified".
     5. Value fit's give-up: False, not certified.  ``_fits_pure`` stops
-       after a bounded number of steps, on slow progress or on damping
-       overflow, so a pure density whose fit converges slowly is reported
-       not pure.
+       at "cap" after a bounded number of steps, at "window" on slow
+       progress or at "damping" on damping overflow, so a pure density
+       whose fit converges slowly is reported not pure.
 
     The roots themselves cannot be tested against the circle: where the
     density is below rounding level on an arc, as on dense node clusters

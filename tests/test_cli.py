@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import toepsys
-from toepsys import metric
-from toepsys.cli import main
-from toepsys.core import fr_to_json
+from toepsys import decompose, factor, metric, states
+from toepsys.cli import _format, main
+from toepsys.core import (fr_from_json, fr_to_json, json_pairs,
+                          toeplitz_from_json, toeplitz_to_json)
 
 from conftest import random_state
 
@@ -252,3 +253,57 @@ def test_import_path_is_scipy_free(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, a, phi],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_json_is_the_library_values(tmp_path, capsys):
+    # every float re-parses to the library's own value bit for bit, and ints
+    # and bools come out as JSON ints and bools
+    rng = np.random.default_rng(7)
+    pure = toepsys.pure_state_from_angles(rng.uniform(0, 2 * np.pi, 3)).state()
+    mixed = random_state(4, rng)
+    p = write_json(tmp_path / "pure.json", fr_to_json(pure.density))
+    q = write_json(tmp_path / "mixed.json", fr_to_json(mixed.density))
+    a = fr_from_json(json.loads((tmp_path / "mixed.json").read_text()))
+
+    code, out, _ = run_cli(["factorize", q], capsys)
+    f = factor.fejer_riesz_factorize(a, tol=1e-9)
+    data = json.loads(out)
+    assert code == 0 and data["q"] == json_pairs(f.q)
+    assert data["residual"] == factor.factorization_residual(a, f)
+
+    rays = [toepsys.extreme_ray(np.exp(1j * x), 4).t for x in (0.9, 2.5, 4.4)]
+    t = write_json(tmp_path / "t.json", toeplitz_to_json(
+        toepsys.toeplitz_from_coeffs(0.7 * rays[0] + 1.3 * rays[1] + rays[2])))
+    T = toeplitz_from_json(json.loads((tmp_path / "t.json").read_text()))
+    code, out, _ = run_cli(["decompose", t], capsys)
+    vd = decompose.vandermonde_decompose(T, tol=1e-9)
+    data = json.loads(out)
+    assert code == 0 and data["rank"] == vd.rank == 3
+    assert type(data["rank"]) is int
+    assert data["angles"] == [float(x) for x in vd.angles]
+    assert data["weights"] == [float(x) for x in vd.weights]
+
+    code, out, _ = run_cli(["distance", p, q], capsys)
+    phi = states.state_from_density(
+        fr_from_json(json.loads((tmp_path / "pure.json").read_text())))
+    psi = states.state_from_density(a)
+    res = metric.connes_distance(phi, psi, gap=1e-6)
+    data = json.loads(out)
+    assert code == 0 and data["connes"]["converged"] is True
+    assert [data["connes"][key] for key in ("value", "lower", "upper")] == [
+        res.value, res.lower, res.upper]
+    assert data["kantorovich"] == metric.kantorovich(phi, psi, quad_tol=1e-8)
+
+    for path, pure in ((p, True), (q, False)):
+        code, out, _ = run_cli(["state", path, "--check-pure"], capsys)
+        assert code == 0 and json.loads(out)["pure"] is pure
+    code, out, _ = run_cli(["propagation", "--toeplitz", "4"], capsys)
+    assert out == '{"prop": 2}\n'
+    code, out, _ = run_cli(["circulant", "tensor-rank", "--n", "3"], capsys)
+    assert out == '{"n": 3, "m": 5, "rank": 25}\n'
+    code, out, _ = run_cli(["geometry3", "--check"], capsys)
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert '"ok": true' in out
+    # numpy scalars that are not floats go through the encoder's default
+    assert _format({"rank": np.int64(3), "ok": np.bool_(True),
+                    "x": np.float64(0.1)}) == '{"rank": 3, "ok": true, "x": 0.1}'

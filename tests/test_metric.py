@@ -244,7 +244,7 @@ def rotate(state, t):
         ts.fr_from_coeffs(state.density.a * np.exp(-1j * k * t)))
 
 
-@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("n", [4, 8, 16, 64])
 def test_rotation_is_an_isometry(rng, n):
     # rotation commutes with D, so both distances are invariant under it
     # and move a state by at most the arc length |t|

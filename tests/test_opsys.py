@@ -66,6 +66,9 @@ def test_propagation_is_stable(build, size, prop):
     sys = build(size)
     assert ts.propagation_number(sys) == prop
     assert ts.propagation_number(ts.MatrixSystem(_tensor_matrix_units(sys, 2))) == prop
+    # k = 3 where it is cheap: at Toeplitz n = 7 and 8 it takes 0.7 and 1.4 s
+    if build is ts.circulant_system or size <= 6:
+        assert ts.propagation_number(ts.MatrixSystem(_tensor_matrix_units(sys, 3))) == prop
 
 
 def _tolerance_units(N, w, cyclic=False):

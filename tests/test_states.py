@@ -4,9 +4,10 @@ import pytest
 import toepsys as ts
 from toepsys.core import CircleLayer
 from toepsys.factor import laurent_roots
-from toepsys.states import (_fits_pure, _has_positive_well, _log_fit,
-                            _log_model, _node_density, _node_jacobian,
-                            _paired_nodes)
+from toepsys import states
+from toepsys.states import (_damped_fit, _fits_pure, _has_positive_well,
+                            _log_fit, _log_model, _node_density,
+                            _node_jacobian, _paired_nodes)
 
 from conftest import random_hermitian_toeplitz, random_state, slotted_angles
 
@@ -273,3 +274,50 @@ def test_is_pure_random_nodes_at_large_n(n, least):
         passed += ts.is_pure(ts.pure_state_from_angles(rng.uniform(0, 2 * np.pi, n - 1)).state())
         assert not ts.is_pure(random_state(n, rng))
     assert passed >= least
+
+
+def _record_exits(monkeypatch):
+    """The (exit, steps) of every ``_damped_fit`` call from now on."""
+    seen, fit = [], states._damped_fit
+
+    def recorded(*args):
+        out = fit(*args)
+        seen.append(out[2:])
+        return out
+
+    monkeypatch.setattr(states, "_damped_fit", recorded)
+    return seen
+
+
+def test_singular_solves_end_at_damping():
+    # a zero Jacobian makes every solve singular; each counts as a rejected
+    # step, so the damping grows until the loop gives up, and nothing raises
+    fit = (np.ones(3), lambda: np.zeros((3, 2)))
+    x, r, exit, steps = _damped_fit(lambda x: fit, np.zeros(2), fit,
+                                    lambda steps, fit, cost: None)
+    assert exit == "damping" and steps > 0
+    assert np.all(x == 0) and np.all(r == 1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_log_fit_within_floor_takes_no_step(monkeypatch, n):
+    # started at the exact nodes pi - angle, the log residual is within what
+    # the rounding of the samples accounts for
+    seen = _record_exits(monkeypatch)
+    angles = np.random.default_rng(n).uniform(0, 2 * np.pi, n - 1)
+    nodes = (np.pi - angles) % (2 * np.pi)
+    a = ts.pure_state_from_angles(angles).state().density.a
+    assert np.array_equal(_log_fit(CircleLayer(a), nodes, 1e-6), nodes)
+    assert seen == [("floor", 0)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 32, 48, 64, 96, 128])
+def test_fit_exits_are_named(monkeypatch, n):
+    seen = _record_exits(monkeypatch)
+    for angles in _pure_node_sets(n, np.random.default_rng(400 + n)):
+        d = ts.pure_state_from_angles(angles).state().density
+        theta = _log_fit(CircleLayer(d.a), _paired_nodes(laurent_roots(d)), 1e-6)
+        assert seen.pop()[0] in {"floor", "slow", "damping"}
+        if theta is not None:
+            _fits_pure(d.a, theta, 1e-6)
+            assert seen.pop()[0] in {"certified", "window", "cap", "damping"}
