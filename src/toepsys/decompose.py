@@ -4,17 +4,17 @@ Node/weight decompositions of positive Toeplitz matrices.
 Every positive Toeplitz matrix is a nonnegative combination of the rank-one
 matrices gamma(lambda) with nodes lambda on the unit circle; at rank
 r <= n-1 the node set is unique and recovered from the shift invariance of
-the range, while at full rank one extreme ray is peeled off first and the
-deficient-rank remainder is decomposed.
+the range, while at full rank one extreme ray s gamma(lambda) is peeled
+off first and the deficient-rank remainder is decomposed.  The peeled node
+is never a node of the remainder: its kernel v has <f_lambda, v> = 1 / s
+!= 0, while every node of the remainder is orthogonal to v.  So a full-rank
+matrix gives n nodes, the n - 1 of the remainder and lambda.
 """
 
 import numpy as np
 
 from .core import (RoundingStop, ToeplitzMatrix, extreme_ray, fourier_vector,
                    spectrum_is_positive)
-
-#: angular radius used to coalesce numerically split nodes
-NODE_CLUSTER_TOL = 1e-6
 
 #: least grid resolution for choosing the ray peeled off a full-rank matrix
 PEEL_GRID = 256
@@ -137,7 +137,8 @@ def _refine(T, angles):
     max-abs residual err over all 2n - 1 coefficients, with floor
     8 n eps max|t_k|: at the floor, or once the best err is within 10^3
     times it and two steps in a row fail to halve that best, whether err
-    creeps down or bounces above it.  The best iterate is returned.
+    creeps down or bounces above it; or else after _REFINE_STEPS steps.
+    The best iterate is returned.
     Transient negative weights are clamped at the end; the caller's
     reconstruction check is the real guard.
     """
@@ -158,10 +159,7 @@ def _refine(T, angles):
         if stop(err):
             break
         # d(model)/d(theta_i) = d_i * i k e^{i k theta_i} / n
-        step = _half_lstsq(np.hstack([1j * k[:, None] * E * d[None, :], E]), resid)
-        x = x + step
-        if np.linalg.norm(step) < 1e-15:
-            break
+        x = x + _half_lstsq(np.hstack([1j * k[:, None] * E * d[None, :], E]), resid)
     th, d = best[:r], np.clip(best[r:], 0.0, None)
     return th % (2 * np.pi), d
 
@@ -189,7 +187,11 @@ def vandermonde_decompose(T, tol=1e-9):
     extremal coefficient s = 1 / <f_lambda, T^{-1} f_lambda>, which drops
     the rank by one and leaves v = T^{-1} f_lambda as the kernel.  One
     eigendecomposition of T serves the positivity check, the rank (cut by
-    RANK_CUT, as in det_multiplicity), T^{-1} and the range.  Full-rank
+    RANK_CUT, as in det_multiplicity), T^{-1} and the range, which is v's
+    orthogonal complement, the columns after the first of a complete QR of
+    v.  Since <f_lambda, v> = 1 / s != 0 while every node of the remainder
+    has its f orthogonal to v, lambda is not among the remainder's n - 1
+    nodes, and a full-rank matrix gives n distinct nodes.  Full-rank
     decompositions are not unique; only reconstruction is canonical.
     """
     return _decompose(T, *_positive_eigh(T, tol, "vandermonde_decompose"))
@@ -204,7 +206,6 @@ def _decompose(T, w, V, m):
     if n == 1:
         return VandermondeDecomposition([0.0], [float(np.real(T.t[0]))])
 
-    peel = None
     if rank == n:
         # deterministic grid choice of the ray to remove
         L = max(PEEL_GRID, 1 << int(np.ceil(np.log2(2 * n))))
@@ -212,25 +213,16 @@ def _decompose(T, w, V, m):
         th = 2 * np.pi * int(np.argmax(np.fft.irfft((n - k) / n * np.conj(T.t[n - 1:]), L))) / L
         f = fourier_vector(np.exp(1j * th), n)
         v = V @ ((V.conj().T @ f) / w)
-        peel = th, float(1.0 / np.real(np.vdot(f, v)))
-        T = T - peel[1] * extreme_ray(np.exp(1j * th), n)
-        # the columns after the first of the Householder reflector taking
-        # v to a multiple of e_1 span the range of T, v's complement
-        x = v / np.linalg.norm(v)
-        x[0] += np.exp(1j * np.angle(x[0]))
-        Us = np.eye(n)[:, 1:] - 2 * np.outer(x, x[1:].conj()) / np.vdot(x, x).real
+        s = float(1.0 / np.real(np.vdot(f, v)))
+        # the columns after the first of a complete QR of v span the range
+        # of T - s gamma(lambda), v's orthogonal complement
+        Us = np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]
+        angles, weights = _refine(T - s * extreme_ray(np.exp(1j * th), n),
+                                  _subspace_nodes(Us))
+        # lambda is not a node of the remainder (<f_lambda, v> = 1 / s)
+        angles, weights = np.append(angles, th), np.append(weights, s)
     else:
-        Us = V[:, m:]
-    angles, weights = _refine(T, _subspace_nodes(Us))
-    if peel is not None:
-        # merge the peeled ray back in, coalescing with an existing node if hit
-        th, s = peel
-        close = np.nonzero(np.abs((angles - th + np.pi) % (2 * np.pi) - np.pi)
-                           <= NODE_CLUSTER_TOL)[0]
-        if close.size:
-            weights[close[0]] += s
-        else:
-            angles, weights = np.append(angles, th), np.append(weights, s)
+        angles, weights = _refine(T, _subspace_nodes(V[:, m:]))
     keep = weights > 1e-13 * weights.max()
     return VandermondeDecomposition(angles[keep], weights[keep])
 

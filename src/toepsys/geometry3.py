@@ -293,14 +293,11 @@ def run_checks(samples=1000, seed=42):
     rays = [3.0 * extreme_ray(np.exp(1j * t), 3).dense() for t in x]
     out["gamma_extreme_ray_bridge"] = sup(gamma_curve(x).dense() - rays)
 
-    out["ok"] = bool(
-        out["delta_on_sigma"] <= 1e-10
-        and out["grad_delta_on_gamma"] <= 1e-10
-        and out["delta_vs_det"] <= 1e-12 * 100
-        and out["surface_on_epsilon"] <= 1e-10
-        and out["discriminant_on_beta"] <= 1e-9
-        and out["grad_discriminant_on_epsilon"] <= 1e-9
-        and out["epsilon_symmetry"] <= 1e-12
-        and out["epsilon_pure_state_bridge"] <= 1e-12
-        and out["gamma_extreme_ray_bridge"] <= 1e-12)
+    # the bound on each residual, in the order of ``out``
+    bounds = {"delta_on_sigma": 1e-10, "grad_delta_on_gamma": 1e-10,
+              "delta_vs_det": 1e-10, "surface_on_epsilon": 1e-10,
+              "discriminant_on_beta": 1e-9, "grad_discriminant_on_epsilon": 1e-9,
+              "epsilon_symmetry": 1e-12, "epsilon_pure_state_bridge": 1e-12,
+              "gamma_extreme_ray_bridge": 1e-12}
+    out["ok"] = all(out[name] <= bound for name, bound in bounds.items())
     return out

@@ -363,16 +363,23 @@ def kantorovich(phi, psi, quad_tol=1e-8):
     alpha is itself a trigonometric polynomial, sampled once (see
     _LevelSets), so f, its slope F and F' are exact for each level a.  f is
     convex and F is monotone, so the optimal level is a root of F,
-    bracketed by F(lo) <= 0 <= F(hi) from the range of alpha.  The search
-    starts at F's root for the polygon through the samples, then takes
-    Newton steps a - F / F' inside the bracket while |F| at least halves,
-    else Illinois regula falsi steps, and bisects when two levels have not
-    halved the bracket.  By convexity f(lo) - min f <= |F(lo)| (hi - lo)
-    and likewise at hi, so it returns the smaller of f(lo), f(hi) once
-    either bound is at most quad_tol, or once hi - lo is down to a few
-    units in the last place, where the bounds are at rounding level (so
-    quad_tol = 0 asks for the best level the arithmetic resolves).  Raises
-    RuntimeError if neither holds within _LEVEL_STEPS slope evaluations.
+    bracketed by F(lo) <= 0 <= F(hi) from the range of alpha.  By
+    convexity f(lo) - min f <= |F(lo)| (hi - lo) and likewise at hi, so it
+    returns the smaller of f(lo), f(hi) once either bound is at most
+    quad_tol, or once hi - lo is down to a few units in the last place,
+    where the bounds are at rounding level (so quad_tol = 0 asks for the
+    best level the arithmetic resolves).
+
+    The search starts at F's root for the polygon through the samples and
+    has the one safeguard of a safeguarded Newton ("rtsafe", Numerical
+    Recipes 9.4): the next level is the Newton level a - F / F' while the
+    last evaluation at least halved |F| and that level lies inside the
+    bracket, and otherwise the bracket's midpoint.  Each evaluated level
+    becomes an end of the bracket, so the bound is at most the width times
+    the last |F|; each evaluation halves |F| or is followed by a midpoint,
+    which halves the width, so the search makes progress.  Raises
+    RuntimeError if neither stop holds within _LEVEL_STEPS slope
+    evaluations.
     """
     if phi.n != psi.n:
         raise ValueError("size mismatch")
@@ -385,32 +392,21 @@ def kantorovich(phi, psi, quad_tol=1e-8):
     lo, hi = float(levels.vals.min()), float(levels.vals.max())
     d0 = float(np.real(levels.d[phi.n - 1]))
     f_lo, F_lo, f_hi, F_hi = 2 * np.pi * (d0 - lo), -2 * np.pi, 2 * np.pi * (hi - d0), 2 * np.pi
-    # Illinois: the secant uses weights that halve on a retained end
-    w_lo, w_hi, side = F_lo, F_hi, 0
-    a, last, widths = levels.polygon_root(), 2 * np.pi, (np.inf, np.inf)
+    a, last = levels.polygon_root(), 2 * np.pi
     for _ in range(_LEVEL_STEPS):
         width = hi - lo
         if (width * min(-F_lo, F_hi) <= quad_tol
                 or width <= 4 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))):
             return min(f_lo, f_hi)
-        if 2 * width > widths[0]:
-            a = 0.5 * (lo + hi)
-        elif not lo < a < hi:
-            a = hi - w_hi * width / (w_hi - w_lo)
         if not lo < a < hi:
             a = 0.5 * (lo + hi)
-        widths = (widths[1], width)
         f_a, F_a, dF_a = levels.integral(a)
         if F_a == 0.0:
             return f_a
         if F_a < 0:
-            lo, f_lo, F_lo, w_lo = a, f_a, F_a, F_a
-            w_hi = w_hi / 2.0 if side < 0 else w_hi
-            side = -1
+            lo, f_lo, F_lo = a, f_a, F_a
         else:
-            hi, f_hi, F_hi, w_hi = a, f_a, F_a, F_a
-            w_lo = w_lo / 2.0 if side > 0 else w_lo
-            side = 1
+            hi, f_hi, F_hi = a, f_a, F_a
         # the Newton level, kept only while |F| at least halves
         a, last = (a - F_a / dF_a if 2 * abs(F_a) <= last else np.nan), abs(F_a)
     raise RuntimeError(

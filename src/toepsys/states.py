@@ -60,13 +60,17 @@ def state_from_density(a, tol=1e-9):
     Wrap a palindromic positive sequence as a state, rescaling to a_0 = 1.
 
     Raises ValueError when the sequence is not a valid (unnormalized)
-    density: non-palindromic, a_0 <= 0, or not nonnegative on the circle.
+    density: non-palindromic, a_0 <= tol max_k |a_k|, or not nonnegative on
+    the circle.  A nonnegative density has a_0 >= |a_k|, so the relative
+    bound rejects only the zero sequence and sequences that are not
+    positive, whatever the scale of a.
     """
     if not a.palindromic:
         raise ValueError("a state density must be palindromic")
     a0 = a.coeff(0).real
-    if a0 <= tol:
-        raise ValueError("a state density needs a_0 > 0, got %g" % a0)
+    if a0 <= tol * np.abs(a.a).max():
+        raise ValueError("a state density needs a_0 > %g max_k |a_k|, got a_0 = %g"
+                         % (tol, a0))
     a = a * (1.0 / a0)
     if not fr_is_positive(a, tol=tol):
         raise ValueError("a state density must be nonnegative on the circle")
@@ -156,21 +160,6 @@ def _node_factors(theta, phi):
     return total, re / np.where(im != 0, im, np.inf)
 
 
-def _node_density(theta, log_s, phi):
-    """
-    Values on the angles ``phi`` of the pure density with nodes ``theta``,
-    s prod_j |e^{i phi} - e^{i theta_j}|^2, with the sum of its log factors
-    and the cotangents that the Jacobian reuses.
-    """
-    total, cot = _node_factors(theta, phi)
-    return np.exp(log_s + total), total, cot
-
-
-def _node_jacobian(vals, cot):
-    """Jacobian of ``vals`` in (theta, log s), as in ``_fits_pure``."""
-    return np.concatenate((-vals[:, None] * cot, vals[:, None]), axis=1)
-
-
 def _damped_fit(model, x, fit, stop):
     """
     Levenberg-Marquardt from ``x``, whose model value ``fit`` the caller
@@ -215,40 +204,40 @@ def _damped_fit(model, x, fit, stop):
     return x, fit[0], name, steps
 
 
-def _fits_pure(a, theta, tol):
+def _fits_pure(a, lay, theta, tol):
     """
     Fit a pure density to the palindromic coefficients ``a`` (k = -(n-1) ..
     n-1) by ``_damped_fit`` on its node angles and log scale, started at
     ``theta``; True once ||coeff(a - fit)||_1 <= tol ||a||_1.
 
-    The fit is sampled on 2n equispaced angles, which determine a
-    trigonometric polynomial of degree n-1: the l2 norm of the residual on
-    them is sqrt(2n) times its coefficient l2 norm, and the FFT gives the
-    coefficients of the fit exactly.  The Jacobian column of node j is
-    d vals / d theta_j = -vals cot((phi - theta_j) / 2), from
-    ``_node_factors``; a sample on a node, a double zero, gets 0.  The
-    exits: "certified" once the bound holds, "window" when the certified
-    residual falls by less than a tenth over _NODE_FIT_WINDOW steps, "cap"
-    after _NODE_FIT_TRIALS steps, and the loop's "damping".
+    The fit is sampled on M = 2^ceil(log2(2n - 1)) equispaced angles,
+    every (L / M)-th cell centre of a's CircleLayer ``lay`` of L cells,
+    against the layer's values of a there.  They determine a trigonometric
+    polynomial of degree n-1: the l2 norm of the residual on them is
+    sqrt(M) times its coefficient l2 norm, and the FFT gives the
+    coefficients of the fit exactly.  The model is ``_log_model``, the one
+    of ``_log_fit``, taken in values: vals = exp(f) with Jacobian vals * J,
+    whose column of node j is -vals cot((phi - theta_j) / 2), 0 at a
+    sample on a node.  The exits: "certified" once the bound holds,
+    "window" when the certified residual falls by less than a tenth over
+    _NODE_FIT_WINDOW steps, "cap" after _NODE_FIT_TRIALS steps, and the
+    loop's "damping".
     """
     n = (a.size + 1) // 2
-    L = 2 * n
-    phi = 2 * np.pi * np.arange(L) / L
-    k = np.arange(-n + 1, n) % L
-    w = np.zeros(L, dtype=complex)
-    w[k] = a
-    target = np.fft.ifft(w).real * L
-    bound = tol * np.abs(a).sum()
+    M = 1 << (2 * n - 2).bit_length()
+    phi, target = lay.theta[::lay.L // M], lay.C[0, ::lay.L // M]
+    k = np.arange(-n + 1, n) % M
+    bound = tol * lay.norm
     check = np.inf
 
-    def sampled(vals, cot):
+    def sampled(f, J):
         # the loop's residual and Jacobian, and the certified l1 residual
-        res = np.abs(np.fft.fft(vals)[k] / L - a).sum()
-        return vals - target, lambda: _node_jacobian(vals, cot), res
+        vals = np.exp(f)
+        res = np.abs(np.fft.fft(vals)[k] / M - a).sum()
+        return vals - target, lambda: vals[:, None] * J, res
 
     def model(x):
-        vals, _, cot = _node_density(x[:-1], x[-1], phi)
-        return sampled(vals, cot)
+        return sampled(*_log_model(x[:-1], x[-1], phi))
 
     def stop(steps, fit, cost):
         nonlocal check
@@ -261,13 +250,12 @@ def _fits_pure(a, theta, tol):
                 return "window"
             check = fit[2]
 
-    total, cot = _node_factors(theta, phi)
-    top = total.max()
-    v = np.exp(total - top)
+    f, J = _log_model(theta, 0.0, phi)
+    top = f.max()
+    v = np.exp(f - top)
     log_s = np.log(np.maximum(target @ v, 1e-300) / (v @ v)) - top
-    start = sampled(np.exp(log_s + total), cot)
     x = np.concatenate((theta, [log_s]))
-    return _damped_fit(model, x, start, stop)[2] == "certified"
+    return _damped_fit(model, x, sampled(log_s + f, J), stop)[2] == "certified"
 
 
 def _has_positive_well(lay, tol):
@@ -411,4 +399,4 @@ def is_pure(state, tol=1e-6):
     if roots.size == 0:
         return True
     theta = _log_fit(lay, _paired_nodes(roots), tol)
-    return theta is not None and _fits_pure(a, theta, tol)
+    return theta is not None and _fits_pure(a, lay, theta, tol)

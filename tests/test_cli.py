@@ -74,6 +74,21 @@ def test_distance(tmp_path, capsys):
     assert data["connes"]["upper"] - data["connes"]["lower"] <= 1e-6
 
 
+def test_density_scale_does_not_matter(tmp_path, capsys):
+    # an unnormalized density is a state at any scale: 1e-10 (1 + cos)
+    small = write_json(tmp_path / "small.json",
+                       {"n": 2, "a": [[5e-11, 0], [1e-10, 0], [5e-11, 0]]})
+    one = write_json(tmp_path / "one.json",
+                     {"n": 2, "a": [[0.5, 0], [1, 0], [0.5, 0]]})
+    trace = write_json(tmp_path / "trace.json",
+                       {"n": 2, "a": [[0, 0], [1, 0], [0, 0]]})
+    code, out, _ = run_cli(["state", small, "--check-pure"], capsys)
+    assert code == 0 and json.loads(out)["pure"] is True
+    code, out, _ = run_cli(["distance", small, trace], capsys)
+    assert code == 0
+    assert out == run_cli(["distance", one, trace], capsys)[1]
+
+
 def test_distance_zero_quad_tol(tmp_path, capsys):
     p = write_json(tmp_path / "phi.json",
                    {"n": 2, "a": [[0, 0], [1, 0], [0, 0]]})

@@ -129,6 +129,26 @@ def test_decompose_full_rank_reconstructs(rng):
         assert err <= 1e-9 * scale
 
 
+def test_full_rank_gives_n_distinct_nodes():
+    # the peeled node lambda is never a node of the remainder, whose nodes
+    # are orthogonal to its kernel v while <f_lambda, v> != 0: a full-rank
+    # matrix gives the remainder's n - 1 nodes and lambda
+    draws = 0
+    for n in range(2, 33):
+        rng = np.random.default_rng([6, n])
+        for _ in range(10):
+            T = random_positive_toeplitz(n, n + 3, rng)
+            if ts.det_multiplicity(T):
+                continue
+            draws += 1
+            vd = ts.vandermonde_decompose(T)
+            assert vd.rank == n
+            assert np.all(np.diff(np.r_[vd.angles, vd.angles[0] + 2 * np.pi]) > 0)
+            err = np.abs(ts.reconstruct(vd, n).t - T.t).max()
+            assert err <= 1e-8 * np.abs(T.t).max()
+    assert draws == 294
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_decompose_full_rank_stops_at_rounding(n, monkeypatch):
     # n + 3 resolvable rays: the residual of the peeled remainder reaches

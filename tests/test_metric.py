@@ -279,3 +279,47 @@ def test_kantorovich_level_next_to_critical_value():
         lo, hi = (mid, hi) if levels.integral(mid)[1] < 0 else (lo, mid)
     assert np.abs(extrema - lo).min() <= 1e-7 * (v.max() - v.min())
     assert exact - 1e-14 <= ts.kantorovich(phi, psi) <= exact + 1e-8
+
+
+@pytest.mark.parametrize("n, d", [(16, 0.25), (16, 1.0), (32, 0.25), (32, 1.0),
+                                  (64, 0.25), (64, 1.0), (128, 1.0)])
+def test_coherent_states_converge_to_arc_length(n, d):
+    # the coherent states phi_x of the points e^{ix}: the spectral distance
+    # lies between kantorovich and the arc length |x - y| and tends to it as
+    # n grows (van Suijlekom, J. Geom. Phys. 162, 2021); both distances are
+    # within 0.7 d / n of it
+    phi, psi = (ts.vector_state(ts.fourier_vector(np.exp(1j * x), n)) for x in (0.0, d))
+    c = ts.connes_distance(phi, psi)
+    k = ts.kantorovich(phi, psi)
+    assert c.converged
+    assert k <= c.upper and c.lower <= d
+    assert d - c.lower <= 0.7 * d / n
+    assert d - k <= 0.7 * d / n
+
+
+@pytest.mark.parametrize("quad_tol, most, critical", [(1e-8, 4, 2), (0.0, 37, 6)])
+def test_kantorovich_level_evaluations(monkeypatch, quad_tol, most, critical):
+    # the level search takes the Newton level while |F| halves and else the
+    # bracket's midpoint: the level evaluations stay few, also at the pair
+    # of test_kantorovich_level_next_to_critical_value; the bounds are those
+    # measured on these draws
+    calls = []
+    integral = metric._LevelSets.integral
+
+    def counted(self, a):
+        calls.append(a)
+        return integral(self, a)
+
+    monkeypatch.setattr(metric._LevelSets, "integral", counted)
+    for n in range(2, 13):
+        rng = np.random.default_rng([7, n])
+        for _ in range(10):
+            phi, psi = random_state(n, rng), random_state(n, rng)
+            calls.clear()
+            ts.kantorovich(phi, psi, quad_tol=quad_tol)
+            assert 1 <= len(calls) <= most
+    rng = np.random.default_rng([264, 8])
+    phi, psi = random_state(8, rng), random_state(8, rng)
+    calls.clear()
+    ts.kantorovich(phi, psi, quad_tol=quad_tol)
+    assert len(calls) <= critical

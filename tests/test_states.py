@@ -6,8 +6,7 @@ from toepsys.core import CircleLayer
 from toepsys.factor import laurent_roots
 from toepsys import states
 from toepsys.states import (_damped_fit, _fits_pure, _has_positive_well,
-                            _log_fit, _log_model, _node_density,
-                            _node_jacobian, _paired_nodes)
+                            _log_fit, _log_model, _paired_nodes)
 
 from conftest import random_hermitian_toeplitz, random_state, slotted_angles
 
@@ -36,6 +35,15 @@ def test_invalid_densities_rejected():
     # asymmetric by 3e-6 relative: within allclose's default rtol only
     with pytest.raises(ValueError, match="palindromic"):
         ts.state_from_density(ts.fr_from_coeffs([0.1 * (1 + 3e-6), 1, 0.1]))
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-10, 1.0, 1e20])
+def test_state_from_density_is_scale_invariant(scale):
+    # a_0 is tested against max_k |a_k|, not against tol itself
+    s = ts.state_from_density(ts.fr_from_coeffs(scale * np.array([0.25, 1.0, 0.25])))
+    assert np.allclose(s.density.a, [0.25, 1.0, 0.25], rtol=1e-15, atol=0)
+    with pytest.raises(ValueError, match="a_0"):
+        ts.state_from_density(ts.fr_from_coeffs(scale * np.array([0.5, 0.0, 0.5])))
 
 
 def test_small_tol_is_honoured():
@@ -140,6 +148,7 @@ def test_is_pure_is_a_backward_error():
 
 
 def test_node_jacobian_matches_central_differences():
+    # the value fit's Jacobian exp(f) * J of the log model (f, J)
     n = 8
     L = 2 * n
     phi = 2 * np.pi * np.arange(L) / L
@@ -147,15 +156,16 @@ def test_node_jacobian_matches_central_differences():
     theta = rng.uniform(0, 2 * np.pi, n - 1)
     theta[0] = phi[3]  # a node on a sample: a double zero there
     log_s = -0.3
-    vals, _, h = _node_density(theta, log_s, phi)
-    J = _node_jacobian(vals, h)
+    f, J = _log_model(theta, log_s, phi)
+    vals = np.exp(f)
+    J = vals[:, None] * J
     assert np.all(np.isfinite(J)) and J[3, 0] == 0.0
     x, eps = np.append(theta, log_s), 1e-6
     for j in range(n):
         e = np.zeros(n)
         e[j] = eps
-        up = _node_density((x + e)[:-1], (x + e)[-1], phi)[0]
-        down = _node_density((x - e)[:-1], (x - e)[-1], phi)[0]
+        up = np.exp(_log_model((x + e)[:-1], (x + e)[-1], phi)[0])
+        down = np.exp(_log_model((x - e)[:-1], (x - e)[-1], phi)[0])
         assert np.allclose(J[:, j], (up - down) / (2 * eps),
                            rtol=1e-6, atol=1e-8 * np.abs(vals).max())
 
@@ -235,7 +245,8 @@ def test_positive_well_agrees_with_the_fit(n):
         a = random_state(n, rng).density
         if _has_positive_well(CircleLayer(a.a), 1e-6):
             fired += 1
-            assert not _fits_pure(a.a, _paired_nodes(laurent_roots(a)), 1e-6)
+            assert not _fits_pure(a.a, CircleLayer(a.a), _paired_nodes(laurent_roots(a)),
+                                  1e-6)
     assert fired >= 4
 
 
@@ -316,8 +327,9 @@ def test_fit_exits_are_named(monkeypatch, n):
     seen = _record_exits(monkeypatch)
     for angles in _pure_node_sets(n, np.random.default_rng(400 + n)):
         d = ts.pure_state_from_angles(angles).state().density
-        theta = _log_fit(CircleLayer(d.a), _paired_nodes(laurent_roots(d)), 1e-6)
+        lay = CircleLayer(d.a)
+        theta = _log_fit(lay, _paired_nodes(laurent_roots(d)), 1e-6)
         assert seen.pop()[0] in {"floor", "slow", "damping"}
         if theta is not None:
-            _fits_pure(d.a, theta, 1e-6)
+            _fits_pure(d.a, lay, theta, 1e-6)
             assert seen.pop()[0] in {"certified", "window", "cap", "damping"}
